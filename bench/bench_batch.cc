@@ -190,7 +190,7 @@ int Main(int argc, char** argv) {
       }
       // Audit (b): "Unknown is never cached".
       if (rb.answer_cache() != nullptr) {
-        rb.answer_cache()->ForEach([&](const std::string& key, Trilean t) {
+        rb.answer_cache()->ForEach([&](const std::string&, Trilean t) {
           Audit(t != Trilean::kUnknown, "kUnknown found in answer cache",
                 kind_name, n);
         });
@@ -300,7 +300,7 @@ int Main(int argc, char** argv) {
           }
         }
         if (rb.answer_cache() != nullptr) {
-          rb.answer_cache()->ForEach([&](const std::string& key, Trilean t) {
+          rb.answer_cache()->ForEach([&](const std::string&, Trilean t) {
             Audit(t != Trilean::kUnknown, "kUnknown found in answer cache",
                   kind_name, n);
           });

@@ -1,5 +1,5 @@
 // Section 3.1 algorithm: GCWA/CCWA formula inference with O(log n) calls
-// to a Σ₂ᵖ oracle — plus the oracle-session A/B experiment.
+// to a Σ₂ᵖ oracle — plus the oracle-session reuse workload.
 //
 // The first harness runs the binary-search counting algorithm and prints
 // the counted oracle calls next to ceil(log2(|P|+1)) + 1 — the two columns
@@ -7,15 +7,14 @@
 // P^Sigma2p[O(log n)] upper bound of the paper (and of [Eiter & Gottlob,
 // TCS], whose method Section 3.1 cites).
 //
-// The A/B harness at the bottom measures what oracle sessions
-// (src/oracle/) buy: the same GCWA/EGCWA workload runs once with the
-// persistent incremental session (default) and once with a fresh solver
-// per oracle call (--no-sessions semantics), and the table reports the
-// wall-clock ratio next to the *semantic* oracle-call counts, which must
-// be identical in both modes — the sessions change how fast the oracle
-// answers, never how often the algorithm asks.
+// The workload harness at the bottom asks one fixed database many
+// questions through the persistent oracle session (src/oracle/) and
+// reports the semantic oracle calls next to the solver invocations the
+// session actually performed and the answers it served from its memos —
+// the session changes how fast the oracle answers, never how often the
+// algorithm asks.
 //
-// Flags: --seed=N --threads=N --no-sessions (see bench_util.h). Results
+// Flags: --seed=N --threads=N --timeout-ms=N (see bench_util.h). Results
 // land in BENCH_oracle_calls.json for scripts/run_experiments.sh.
 #include <cmath>
 #include <cstdio>
@@ -34,7 +33,7 @@ namespace {
 using bench::BenchArgs;
 using bench::BenchJsonWriter;
 
-/// One leg of the A/B comparison.
+/// One run of the session workload.
 struct Leg {
   double ms = 0;            ///< wall-clock of the measured block
   int64_t oracle_calls = 0; ///< counting-algorithm Σ₂ᵖ calls (structural)
@@ -44,16 +43,15 @@ struct Leg {
   oracle::SessionStats sess;      ///< full session-reuse counters
 };
 
-/// The A/B workload: the repeated-query pattern sessions are built for.
-/// Everything below asks one fixed database many questions — the GCWA
+/// The session workload: the repeated-query pattern sessions are built
+/// for. Everything below asks one fixed database many questions — the GCWA
 /// counting algorithm (every binary-search step re-enumerates minimal
 /// projections), the full negation set (one Σ₂ᵖ-style query per atom),
 /// repeated EGCWA model enumeration, and the per-atom negative-clause
 /// augmentation.
-Leg RunFamily(const Database& db, bool use_sessions, int threads,
+Leg RunFamily(const Database& db, int threads,
               std::shared_ptr<Budget> watchdog = nullptr) {
   SemanticsOptions opts;
-  opts.use_sessions = use_sessions;
   opts.num_threads = threads;
   opts.budget = std::move(watchdog);
   Leg leg;
@@ -97,12 +95,10 @@ int main_impl(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   BenchJsonWriter json("oracle_calls");
 
-  std::printf("GCWA formula inference via the counting algorithm%s\n",
-              args.use_sessions ? "" : " [--no-sessions]");
+  std::printf("GCWA formula inference via the counting algorithm\n");
   std::printf("%8s %14s %18s %12s %10s\n", "|P|=n", "oracle calls",
               "ceil(lg(n+1))+1", "free atoms", "time[s]");
   SemanticsOptions opts;
-  opts.use_sessions = args.use_sessions;
   opts.num_threads = args.threads;
   for (int n : {4, 8, 16, 32, 64}) {
     int64_t calls = 0;
@@ -142,9 +138,8 @@ int main_impl(int argc, char** argv) {
                 static_cast<double>(calls) / reps, bound,
                 static_cast<double>(free_atoms) / reps, secs,
                 timed_out ? "  TIMEOUT" : "");
-    bench::BenchRecord row{StrFormat("gcwa_counting%s",
-                                     args.use_sessions ? "" : "_no_sessions"),
-                           n, secs * 1e3 / reps, calls / reps, 0, timed_out};
+    bench::BenchRecord row{"gcwa_counting", n, secs * 1e3 / reps, calls / reps,
+                           0, timed_out, {}, {}};
     row.AddPhase("generate", gen_secs * 1e3).AddPhase("query", secs * 1e3);
     row.metrics = obs::SnapshotOf(row_stats, nullptr, &row_sess);
     json.Add(std::move(row));
@@ -197,9 +192,8 @@ int main_impl(int argc, char** argv) {
     std::printf("%8d %14.1f %18d %10.4f%s\n", n,
                 static_cast<double>(calls) / reps, bound, secs,
                 timed_out ? "  TIMEOUT" : "");
-    bench::BenchRecord row{StrFormat("ccwa_counting%s",
-                                     args.use_sessions ? "" : "_no_sessions"),
-                           n, secs * 1e3 / reps, calls / reps, 0, timed_out};
+    bench::BenchRecord row{"ccwa_counting", n, secs * 1e3 / reps, calls / reps,
+                           0, timed_out, {}, {}};
     row.AddPhase("generate", gen_secs * 1e3).AddPhase("query", secs * 1e3);
     row.metrics = obs::SnapshotOf(row_stats, nullptr, &row_sess);
     json.Add(std::move(row));
@@ -208,44 +202,31 @@ int main_impl(int argc, char** argv) {
       "\nExpected shape: the oracle-call column grows by about +1 per "
       "doubling of n — the O(log n) bound.\n");
 
-  std::printf("\nOracle-session A/B (GCWA counting + negation set, EGCWA "
-              "enumeration x3 + negative clauses)\n");
-  std::printf("%8s %12s %12s %10s %12s %12s %12s %8s\n", "n", "fresh[ms]",
-              "session[ms]", "speedup", "oracle =?", "sat fresh",
-              "sat sess", "hits");
+  std::printf("\nOracle-session workload (GCWA counting + negation set, "
+              "EGCWA enumeration x3 + negative clauses)\n");
+  std::printf("%8s %12s %12s %12s %8s\n", "n", "session[ms]", "oracle calls",
+              "sat calls", "hits");
   for (int n : {8, 12, 16, 20, 24}) {
     Database db = RandomPositiveDdb(
         n, 2 * n, DeriveSeed(args.seed * 31, static_cast<uint64_t>(n)));
-    auto fresh_watchdog = bench::MakeWatchdogBudget(args);
-    auto sess_watchdog = bench::MakeWatchdogBudget(args);
-    Leg fresh = RunFamily(db, /*use_sessions=*/false, args.threads,
-                          fresh_watchdog);
-    Leg sess = RunFamily(db, /*use_sessions=*/true, args.threads,
-                         sess_watchdog);
-    const bool fresh_to = bench::TimedOut(fresh_watchdog);
-    const bool sess_to = bench::TimedOut(sess_watchdog);
-    const bool same_oracle = fresh.oracle_calls == sess.oracle_calls;
-    std::printf("%8d %12.2f %12.2f %9.2fx %12s %12lld %12lld %8lld\n", n,
-                fresh.ms, sess.ms, fresh.ms / (sess.ms > 0 ? sess.ms : 1e-9),
-                same_oracle ? "yes" : "NO!",
-                static_cast<long long>(fresh.sat_calls),
+    auto watchdog = bench::MakeWatchdogBudget(args);
+    Leg sess = RunFamily(db, args.threads, watchdog);
+    const bool timed_out = bench::TimedOut(watchdog);
+    std::printf("%8d %12.2f %12lld %12lld %8lld%s\n", n, sess.ms,
+                static_cast<long long>(sess.oracle_calls),
                 static_cast<long long>(sess.sat_calls),
-                static_cast<long long>(sess.cache_hits));
-    bench::BenchRecord fresh_row{"ab_fresh", n, fresh.ms, fresh.oracle_calls,
-                                 fresh.cache_hits, fresh_to};
-    fresh_row.AddPhase("workload", fresh.ms);
-    fresh_row.metrics = obs::SnapshotOf(fresh.stats, nullptr, &fresh.sess);
-    json.Add(std::move(fresh_row));
-    bench::BenchRecord sess_row{"ab_session", n, sess.ms, sess.oracle_calls,
-                                sess.cache_hits, sess_to};
-    sess_row.AddPhase("workload", sess.ms);
-    sess_row.metrics = obs::SnapshotOf(sess.stats, nullptr, &sess.sess);
-    json.Add(std::move(sess_row));
+                static_cast<long long>(sess.cache_hits),
+                timed_out ? "  TIMEOUT" : "");
+    bench::BenchRecord row{"session_workload", n, sess.ms, sess.oracle_calls,
+                           sess.cache_hits, timed_out, {}, {}};
+    row.AddPhase("workload", sess.ms);
+    row.metrics = obs::SnapshotOf(sess.stats, nullptr, &sess.sess);
+    json.Add(std::move(row));
   }
   std::printf(
-      "\nExpected shape: identical oracle-call counts in both columns — the "
-      "session only removes rebuild/replay work (sat calls drop, hits "
-      "climb), never a semantic oracle invocation.\n");
+      "\nExpected shape: hits climb with n — memoized verdicts and replayed "
+      "projections replace solver invocations, never a semantic oracle "
+      "call.\n");
   json.Write();
   return 0;
 }

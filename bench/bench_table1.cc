@@ -72,7 +72,6 @@ int main_impl(int argc, char** argv) {
   const int kInstances = 5;
   SemanticsOptions opts;
   opts.max_candidates = 2000000;
-  opts.use_sessions = args.use_sessions;
   opts.num_threads = args.threads;
 
   std::vector<Cell> cells = {
@@ -301,7 +300,7 @@ int main_impl(int argc, char** argv) {
     rows.push_back(row);
     bench::BenchRecord rec{StrFormat("%s/%s", cell.semantics, cell.task),
                            cell.num_vars, row.seconds * 1e3, sat, 0,
-                           timed_out};
+                           timed_out, {}, {}};
     // Per-phase attribution + the row's counter snapshot under the
     // canonical dd.* names (docs/OBSERVABILITY.md).
     rec.AddPhase("generate", gen_secs * 1e3)

@@ -25,7 +25,6 @@ namespace bench {
 /// Command-line knobs shared by every harness:
 ///   --seed=N        root seed of the generated instance families
 ///   --threads=N     worker threads for the parallel helpers
-///   --no-sessions   fresh-solver-per-oracle-call baseline (the A/B leg)
 ///   --timeout-ms=N  per-instance watchdog: a measured block that exceeds
 ///                   N ms of wall clock is cut off and its row is written
 ///                   with "timeout": true instead of hanging the sweep
@@ -34,7 +33,6 @@ namespace bench {
 struct BenchArgs {
   uint64_t seed = 1;
   int threads = 1;
-  bool use_sessions = true;
   int64_t timeout_ms = -1;
 
   static BenchArgs Parse(int argc, char** argv) {
@@ -48,9 +46,7 @@ struct BenchArgs {
       return nullptr;
     };
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--no-sessions") == 0) {
-        a.use_sessions = false;
-      } else if (const char* v = value_of(argv[i], "--seed", &i)) {
+      if (const char* v = value_of(argv[i], "--seed", &i)) {
         a.seed = std::strtoull(v, nullptr, 10);
       } else if (const char* v2 = value_of(argv[i], "--threads", &i)) {
         a.threads = static_cast<int>(std::strtol(v2, nullptr, 10));
@@ -117,7 +113,8 @@ class BenchJsonWriter {
   void Add(BenchRecord r) { records_.push_back(std::move(r)); }
   void Add(const std::string& name, int n, double wall_ms,
            int64_t oracle_calls, int64_t cache_hits, bool timeout = false) {
-    records_.push_back({name, n, wall_ms, oracle_calls, cache_hits, timeout});
+    records_.push_back(
+        {name, n, wall_ms, oracle_calls, cache_hits, timeout, {}, {}});
   }
 
   /// Writes BENCH_<bench>.json; idempotent. Returns false on I/O failure.

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Full pre-merge check matrix:
 #
-#   1. Release build with -Werror, ctest
+#   1. Release build with -Werror (library, tests, examples and bench/),
+#      ctest
 #   2. AddressSanitizer build, ctest
 #   3. UndefinedBehaviorSanitizer build, ctest
 #   4. ThreadSanitizer build, running the concurrency surface only
 #      (thread-pool/parallel-enumeration/oracle-session tests) — TSan
 #      triples runtimes, and the rest of the suite is single-threaded
-#   5. clang-tidy over src/ (skipped with a notice when not installed)
-#   6. clang-format --dry-run -Werror over src/ (same skip rule)
+#   5. clang-tidy over src/ (skipped when not installed; the final
+#      summary then prints "NOT ENFORCED: clang-tidy")
+#   6. clang-format --dry-run -Werror over src/ (same skip rule, reported
+#      as "NOT ENFORCED: clang-format")
 #   7. ddlint over examples/programs/*.ddb, diffed against the committed
 #      golden diagnostics (examples/programs/lint_golden.txt) so rule
 #      regressions show as a diff, with the SARIF export validated
@@ -55,6 +58,7 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 FAILED=0
+NOT_ENFORCED=()  # lint legs skipped for a missing tool (summary only)
 
 run_leg() { # name build_dir cmake_args...   (CTEST_FILTER: optional -R regex)
   local name="$1" dir="$2"; shift 2
@@ -75,7 +79,7 @@ run_leg() { # name build_dir cmake_args...   (CTEST_FILTER: optional -R regex)
 }
 
 run_leg "release (-Werror)" build-check-release \
-        -DCMAKE_BUILD_TYPE=Release -DDD_WERROR=ON -DDD_BUILD_BENCHMARKS=OFF
+        -DCMAKE_BUILD_TYPE=Release -DDD_WERROR=ON
 
 if [ "$FAST" -eq 0 ]; then
   run_leg "asan" build-check-asan \
@@ -109,6 +113,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
   fi
 else
   echo "clang-tidy: not installed; skipping"
+  NOT_ENFORCED+=(clang-tidy)
 fi
 
 echo "===== clang-format ====="
@@ -121,6 +126,7 @@ if command -v clang-format >/dev/null 2>&1; then
   fi
 else
   echo "clang-format: not installed; skipping"
+  NOT_ENFORCED+=(clang-format)
 fi
 
 echo "===== ddlint over examples/programs (golden + SARIF) ====="
@@ -390,6 +396,11 @@ else
 fi
 
 echo
+# A skipped lint leg does not change the exit status, but it must never
+# read as a pass.
+for tool in ${NOT_ENFORCED[@]+"${NOT_ENFORCED[@]}"}; do
+  echo "NOT ENFORCED: $tool"
+done
 if [ "$FAILED" -ne 0 ]; then
   echo "check.sh: FAILURES present"; exit 1
 fi

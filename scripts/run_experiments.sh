@@ -6,10 +6,10 @@
 #                       harnesses emit (bench/bench_util.h writer)
 #
 # Harness flags are forwarded: run_experiments.sh --seed=7 --threads=4
-# passes the root seed / worker count to every harness; --no-sessions
-# regenerates the fresh-solver A/B baseline; --timeout-ms=N arms the
-# per-instance watchdog (rows cut off by it carry "timeout": true in the
-# BENCH_*.json output instead of hanging the sweep — docs/ROBUSTNESS.md).
+# passes the root seed / worker count to every harness; --timeout-ms=N
+# arms the per-instance watchdog (rows cut off by it carry "timeout": true
+# in the BENCH_*.json output instead of hanging the sweep —
+# docs/ROBUSTNESS.md).
 #
 # --small runs the quick preset instead: skips the test suite and runs
 # only the oracle-call harness (the one whose rows carry full counter

@@ -27,22 +27,20 @@ bool AnswerCache::IsBraveKey(const std::string& key) {
 
 void AnswerCache::SetEpoch(uint64_t fingerprint) {
   if (epoch_set_ && epoch_ == fingerprint) return;
-  if (epoch_set_ && !entries_.empty()) ++stats_.invalidations;
-  lru_.clear();
-  entries_.clear();
+  if (epoch_set_ && lru_.size() != 0) ++stats_.invalidations;
+  lru_.Clear();
   epoch_ = fingerprint;
   epoch_set_ = true;
 }
 
 std::optional<Trilean> AnswerCache::Lookup(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const Trilean* hit = lru_.Get(key);
+  if (hit == nullptr) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  return *hit;
 }
 
 void AnswerCache::Insert(const std::string& key, Trilean answer) {
@@ -52,30 +50,16 @@ void AnswerCache::Insert(const std::string& key, Trilean answer) {
     ++stats_.unknown_rejected;
     return;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second->second = answer;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, answer);
-  entries_.emplace(key, lru_.begin());
-  ++stats_.insertions;
-  while (capacity_ > 0 && static_cast<int64_t>(entries_.size()) > capacity_) {
-    entries_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  const auto put = lru_.Put(key, answer);
+  if (put.inserted) ++stats_.insertions;
+  stats_.evictions += put.evicted;
 }
 
-void AnswerCache::Clear() {
-  lru_.clear();
-  entries_.clear();
-}
+void AnswerCache::Clear() { lru_.Clear(); }
 
 void AnswerCache::ForEach(
     const std::function<void(const std::string&, Trilean)>& fn) const {
-  for (const auto& [key, answer] : lru_) fn(key, answer);
+  lru_.ForEach(fn);
 }
 
 }  // namespace batch

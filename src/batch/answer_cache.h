@@ -25,13 +25,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "semantics/semantics.h"
+#include "util/bounded_lru.h"
 #include "util/budget.h"
 
 namespace dd {
@@ -49,7 +47,7 @@ class AnswerCache {
   };
 
   /// `capacity` <= 0 means unbounded (tests only; servers should bound).
-  explicit AnswerCache(int64_t capacity = 4096) : capacity_(capacity) {}
+  explicit AnswerCache(int64_t capacity = 4096) : lru_(capacity) {}
 
   /// The canonical composite key. `brave` tags credulous-mode entries in
   /// the kind segment ("KIND~brave"), so brave and skeptical answers for
@@ -77,8 +75,8 @@ class AnswerCache {
 
   void Clear();
 
-  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
-  int64_t capacity() const { return capacity_; }
+  int64_t size() const { return lru_.size(); }
+  int64_t capacity() const { return lru_.capacity(); }
   const Stats& stats() const { return stats_; }
 
   /// The fingerprint the cache is currently pinned to (via SetEpoch).
@@ -87,19 +85,16 @@ class AnswerCache {
   bool epoch_set() const { return epoch_set_; }
   uint64_t epoch() const { return epoch_; }
 
-  /// Debug/audit iteration over live entries (the bench harness uses this
-  /// to assert no kUnknown was ever stored). Order unspecified.
+  /// Iteration over live entries, most recently used first (snapshot
+  /// persistence relies on this order; the bench harness uses it to assert
+  /// no kUnknown was ever stored).
   void ForEach(
       const std::function<void(const std::string&, Trilean)>& fn) const;
 
  private:
-  using LruList = std::list<std::pair<std::string, Trilean>>;
-
-  int64_t capacity_;
   bool epoch_set_ = false;
   uint64_t epoch_ = 0;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> entries_;
+  util::BoundedLru<std::string, Trilean> lru_;
   Stats stats_;
 };
 

@@ -14,31 +14,24 @@ std::string ModelBankStore::MakeKey(uint64_t module_fingerprint,
 
 void ModelBankStore::SetEpoch(uint64_t fingerprint) {
   if (epoch_set_ && epoch_ == fingerprint) return;
-  if (epoch_set_ && !entries_.empty()) ++stats_.invalidations;
-  lru_.clear();
-  entries_.clear();
+  if (epoch_set_ && lru_.size() != 0) ++stats_.invalidations;
+  lru_.Clear();
   epoch_ = fingerprint;
   epoch_set_ = true;
 }
 
 std::shared_ptr<const ModelBank> ModelBankStore::Lookup(const std::string& key,
                                                         int min_num_vars) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  const std::shared_ptr<const ModelBank>& bank = it->second->second;
-  if (bank->num_vars < min_num_vars) {
-    // Built before the vocabulary grew: it cannot evaluate a formula
-    // mentioning a newer atom. The entry stays — it remains valid for
-    // queries over the atoms it does cover.
+  const std::shared_ptr<const ModelBank>* bank = lru_.Peek(key);
+  if (bank == nullptr || (*bank)->num_vars < min_num_vars) {
+    // A bank built before the vocabulary grew cannot evaluate a formula
+    // mentioning a newer atom. The entry stays where it is in the LRU
+    // order — it remains valid for queries over the atoms it does cover.
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return bank;
+  return *lru_.Get(key);
 }
 
 void ModelBankStore::Insert(const std::string& key,
@@ -49,31 +42,20 @@ void ModelBankStore::Insert(const std::string& key,
     ++stats_.truncated_rejected;
     return;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second->second = std::move(bank);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(bank));
-  entries_.emplace(key, lru_.begin());
-  ++stats_.insertions;
-  while (capacity_ > 0 && static_cast<int64_t>(entries_.size()) > capacity_) {
-    entries_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  const auto put = lru_.Put(key, std::move(bank));
+  if (put.inserted) ++stats_.insertions;
+  stats_.evictions += put.evicted;
 }
 
-void ModelBankStore::Clear() {
-  lru_.clear();
-  entries_.clear();
-}
+void ModelBankStore::Clear() { lru_.Clear(); }
 
 void ModelBankStore::ForEach(
     const std::function<void(const std::string&, const ModelBank&)>& fn)
     const {
-  for (const auto& [key, bank] : lru_) fn(key, *bank);
+  lru_.ForEach([&](const std::string& key,
+                   const std::shared_ptr<const ModelBank>& bank) {
+    fn(key, *bank);
+  });
 }
 
 }  // namespace batch

@@ -51,15 +51,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "logic/interpretation.h"
 #include "semantics/semantics.h"
+#include "util/bounded_lru.h"
 
 namespace dd {
 namespace batch {
@@ -93,7 +91,7 @@ class ModelBankStore {
   /// `capacity` <= 0 means unbounded (tests only; servers should bound).
   /// Banks are heavyweight (whole model sets), so the default is far
   /// smaller than AnswerCache's.
-  explicit ModelBankStore(int64_t capacity = 32) : capacity_(capacity) {}
+  explicit ModelBankStore(int64_t capacity = 32) : lru_(capacity) {}
 
   /// The canonical composite key. `cap` is the effective bank cap the
   /// enumeration ran under (EffectiveBankCap): two batches share a bank
@@ -118,27 +116,22 @@ class ModelBankStore {
 
   void Clear();
 
-  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
-  int64_t capacity() const { return capacity_; }
+  int64_t size() const { return lru_.size(); }
+  int64_t capacity() const { return lru_.capacity(); }
   const Stats& stats() const { return stats_; }
 
   bool epoch_set() const { return epoch_set_; }
   uint64_t epoch() const { return epoch_; }
 
-  /// Debug/audit iteration over live banks (tests assert every stored
-  /// bank is complete). Order unspecified.
+  /// Debug/audit iteration over live banks, most recently used first
+  /// (tests assert every stored bank is complete).
   void ForEach(const std::function<void(const std::string&,
                                         const ModelBank&)>& fn) const;
 
  private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const ModelBank>>>;
-
-  int64_t capacity_;
   bool epoch_set_ = false;
   uint64_t epoch_ = 0;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> entries_;
+  util::BoundedLru<std::string, std::shared_ptr<const ModelBank>> lru_;
   Stats stats_;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "strat/priority.h"
 #include "strat/stratifier.h"
@@ -177,17 +179,23 @@ std::vector<Interpretation> PossibleModels(const Database& db) {
   for (const Clause& c : db.clauses()) {
     (c.is_integrity() ? constraints : rules).push_back(&c);
   }
+  // A split picks a nonempty subset of heads for every rule; the possible
+  // models are the least models of the splits that satisfy the
+  // constraints. Only the picks of rules that FIRE while the least model
+  // is built matter, so the search picks a rule's heads at the moment its
+  // body becomes true (lowest-index firing rule first) and never revisits
+  // a (model so far, rules picked) state. Following any split's own picks
+  // reaches that split's least model, and every leaf is the least model
+  // of the split that extends its picks arbitrarily, so the result is
+  // exactly the set of split least models.
   std::set<Interpretation> found;
-  // Recursive split choice.
-  std::vector<std::vector<Var>> chosen(rules.size());
-  std::function<void(size_t)> rec = [&](size_t i) {
-    if (i == rules.size()) {
-      // Least model by naive iteration.
-      Interpretation lm(db.num_vars());
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        for (size_t r = 0; r < rules.size(); ++r) {
+  std::set<std::pair<Interpretation, std::vector<bool>>> seen;
+  std::function<void(const Interpretation&, std::vector<bool>&)> rec =
+      [&](const Interpretation& lm, std::vector<bool>& picked) {
+        if (!seen.emplace(lm, picked).second) return;
+        size_t r = 0;
+        for (; r < rules.size(); ++r) {
+          if (picked[r]) continue;
           bool body_true = true;
           for (Var b : rules[r]->pos_body()) {
             if (!lm.Contains(b)) {
@@ -195,32 +203,30 @@ std::vector<Interpretation> PossibleModels(const Database& db) {
               break;
             }
           }
-          if (!body_true) continue;
-          for (Var h : chosen[r]) {
-            if (!lm.Contains(h)) {
-              lm.Insert(h);
-              grew = true;
-            }
-          }
+          if (body_true) break;
         }
-      }
-      for (const Clause* ic : constraints) {
-        if (!ic->SatisfiedBy(lm)) return;
-      }
-      found.insert(lm);
-      return;
-    }
-    const auto& heads = rules[i]->heads();
-    DD_CHECK(heads.size() <= 20);
-    for (uint32_t mask = 1; mask < (1u << heads.size()); ++mask) {
-      chosen[i].clear();
-      for (size_t h = 0; h < heads.size(); ++h) {
-        if (mask & (1u << h)) chosen[i].push_back(heads[h]);
-      }
-      rec(i + 1);
-    }
-  };
-  rec(0);
+        if (r == rules.size()) {
+          // No unpicked rule fires: lm is closed, i.e. a least model.
+          for (const Clause* ic : constraints) {
+            if (!ic->SatisfiedBy(lm)) return;
+          }
+          found.insert(lm);
+          return;
+        }
+        const auto& heads = rules[r]->heads();
+        DD_CHECK(heads.size() <= 20);
+        picked[r] = true;
+        for (uint32_t mask = 1; mask < (1u << heads.size()); ++mask) {
+          Interpretation next = lm;
+          for (size_t h = 0; h < heads.size(); ++h) {
+            if (mask & (1u << h)) next.Insert(heads[h]);
+          }
+          rec(next, picked);
+        }
+        picked[r] = false;
+      };
+  std::vector<bool> picked(rules.size(), false);
+  rec(Interpretation(db.num_vars()), picked);
   return std::vector<Interpretation>(found.begin(), found.end());
 }
 

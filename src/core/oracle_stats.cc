@@ -8,7 +8,7 @@ namespace dd {
 namespace {
 
 /// " | session: …" suffix shared by the two session-carrying overloads.
-/// All-zero counters (fresh-solver mode) render as "session: off".
+/// All-zero counters (no oracle call ran) render as "session: off".
 std::string SessionSuffix(const oracle::SessionStats& sess) {
   if (sess.base_loads == 0 && sess.solves == 0 && sess.cache_hits == 0 &&
       sess.projections_replayed == 0) {

@@ -35,8 +35,8 @@ std::string FormatStats(const MinimalStats& s,
 /// Renders the oracle counters next to the session-reuse counters
 /// ("… | session: loads=…, solves=…, ctx=…/…, cache=…/…, replayed=…"),
 /// so the semantic oracle work and the fraction served from reuse are
-/// observable side by side. All-zero session counters (fresh-solver
-/// mode) render as "session: off".
+/// observable side by side. All-zero session counters (no oracle call
+/// ran, e.g. a dispatch fast path answered) render as "session: off".
 std::string FormatStats(const MinimalStats& s,
                         const oracle::SessionStats& sess);
 

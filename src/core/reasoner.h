@@ -200,7 +200,7 @@ class Reasoner {
   MinimalStats TotalStats() const;
 
   /// Aggregated session-reuse counters over all engines used so far (all
-  /// zero in fresh-solver mode).
+  /// zero until an oracle call runs).
   oracle::SessionStats TotalSessionStats() const;
 
   /// Attaches (nullptr detaches) a trace to this reasoner and every engine

@@ -16,19 +16,6 @@ namespace dd {
 namespace {
 
 using sat::SolveResult;
-using sat::Solver;
-
-// Loads the database CNF into a fresh solver and attaches the (possibly
-// null) query budget, so fresh-mode oracle calls honor deadlines too.
-void LoadDb(const Database& db, Solver* s,
-            const std::shared_ptr<Budget>& budget = nullptr) {
-  s->SetBudget(budget);
-  s->EnsureVars(db.num_vars());
-  // Prefer-false polarity makes the first model found already small, which
-  // shortens minimization loops.
-  s->SetDefaultPolarity(false);
-  for (const auto& cl : db.ToCnf()) s->AddClause(cl.data(), cl.size());
-}
 
 // The clause excluding the "region" of a minimal projection: models M''
 // with M''∩P ⊇ p* and M''∩Q = q*. Empty iff the region is the whole model
@@ -44,16 +31,6 @@ std::vector<Lit> RegionBlockClause(const Interpretation& proj,
     block.push_back(proj.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
   }
   return block;
-}
-
-// Adds the region block to a fresh solver. Returns false if the region is
-// the whole model space (empty clause).
-bool AddRegionBlock(const Interpretation& proj, const Partition& pqz,
-                    Solver* s) {
-  std::vector<Lit> block = RegionBlockClause(proj, pqz);
-  if (block.empty()) return false;
-  s->AddClause(std::move(block));
-  return true;
 }
 
 // Fixes the (P,Q)-projection of `m` as unit assumptions (Z left free).
@@ -77,7 +54,6 @@ MinimalEngine::MinimalEngine(const Database& db, const MinimalOptions& opts)
 }
 
 oracle::SatSession* MinimalEngine::session() {
-  if (!opts_.use_sessions) return nullptr;
   if (!session_) {
     session_ = std::make_unique<oracle::SatSession>(db_);
     session_->SetBudget(opts_.budget);
@@ -140,7 +116,7 @@ MinimalEngine::OpScope::~OpScope() {
   if (e_->interrupted_) t->SetAttr(span_, "interrupted", "true");
   // Session activity attributable to this operation, as an "oracle"-layer
   // child span (parent inference: span_ is still open here). Only emitted
-  // when something actually happened, so fresh-mode traces stay lean.
+  // when something actually happened, so memo-only operations stay lean.
   const oracle::SessionStats after = e_->session_stats();
   const int64_t solves = after.solves - sess_before_.solves;
   const int64_t opened = after.contexts_opened - sess_before_.contexts_opened;
@@ -162,13 +138,12 @@ MinimalEngine::OpScope::~OpScope() {
 }
 
 // ---------------------------------------------------------------------------
-// Public dispatchers.
+// Public operations.
 // ---------------------------------------------------------------------------
 
 bool MinimalEngine::HasModel() {
   if (interrupted_) return false;
   OpScope op(this, "minimal.has_model");
-  if (!opts_.use_sessions) return HasModelFresh();
   if (has_model_.has_value()) {
     ++memo_hits_;
     return *has_model_;
@@ -190,7 +165,6 @@ bool MinimalEngine::HasModel() {
 std::optional<Interpretation> MinimalEngine::FindModel() {
   if (interrupted_) return std::nullopt;
   OpScope op(this, "minimal.find_model");
-  if (!opts_.use_sessions) return FindModelFresh();
   if (!HasModel()) return std::nullopt;
   if (interrupted_) return std::nullopt;
   return found_model_;
@@ -256,7 +230,6 @@ bool MinimalEngine::IsMinimal(const Interpretation& m, const Partition& pqz) {
   if (interrupted_) return false;
   OpScope op(this, "minimal.is_minimal");
   if (std::optional<bool> h = TryHcfIsMinimal(m, pqz)) return *h;
-  if (!opts_.use_sessions) return IsMinimalFresh(m, pqz);
   if (!IsModel(m)) return false;
   const Interpretation masked = oracle::MinimalityCache::MaskPQ(m, pqz);
   if (std::optional<bool> v = cache_.LookupVerdict(pqz, masked)) return *v;
@@ -303,7 +276,6 @@ Interpretation MinimalEngine::Minimize(const Interpretation& m,
   if (interrupted_) return m;
   OpScope op(this, "minimal.minimize");
   if (std::optional<Interpretation> h = TryHcfMinimize(m, pqz)) return *h;
-  if (!opts_.use_sessions) return MinimizeFresh(m, pqz);
   DD_CHECK(IsModel(m));
   ++stats_.minimizations;
   const Interpretation masked = oracle::MinimalityCache::MaskPQ(m, pqz);
@@ -428,9 +400,6 @@ int MinimalEngine::EnumerateMinimalProjections(
     const std::function<bool(const Interpretation&)>& cb) {
   if (interrupted_) return 0;
   OpScope op(this, "minimal.enumerate_projections");
-  if (!opts_.use_sessions) {
-    return EnumerateMinimalProjectionsFresh(pqz, cap, cb);
-  }
   oracle::SatSession* s = session();
   oracle::ProjectionStream* stream = proj_store_.GetStream(pqz);
   int emitted = 0;
@@ -490,7 +459,6 @@ int MinimalEngine::EnumerateMinimalProjections(
 
 std::shared_ptr<const std::vector<Interpretation>>
 MinimalEngine::SharedExhaustedProjections(const Partition& pqz) {
-  if (!opts_.use_sessions) return nullptr;
   oracle::ProjectionStream* stream = proj_store_.FindStream(pqz);
   if (stream == nullptr || !stream->exhausted) return nullptr;
   return stream->projections;
@@ -501,7 +469,6 @@ int MinimalEngine::EnumerateAllMinimalModels(
     const std::function<bool(const Interpretation&)>& cb) {
   if (interrupted_) return 0;
   OpScope op(this, "minimal.enumerate_all_models");
-  if (!opts_.use_sessions) return EnumerateAllMinimalModelsFresh(pqz, cap, cb);
   // Outer loop over (memoized) minimal projections; inner loop over
   // Z-completions in a per-projection guarded context.
   oracle::SatSession* s = session();
@@ -550,7 +517,6 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
                                    Interpretation* counterexample) {
   if (interrupted_) return true;
   OpScope op(this, "minimal.entails");
-  if (!opts_.use_sessions) return MinimalEntailsFresh(f, pqz, counterexample);
   // Counterexample search: a <P;Z>-minimal model of DB violating F. The
   // Tseitin encoding, the ¬F unit and the region blocks all live in one
   // guarded context and vanish together when the query ends.
@@ -611,7 +577,6 @@ bool MinimalEngine::ExistsMinimalModelWith(Lit lit, const Partition& pqz,
                                            Interpretation* witness) {
   if (interrupted_) return false;
   OpScope op(this, "minimal.exists_minimal_with");
-  if (!opts_.use_sessions) return ExistsMinimalModelWithFresh(lit, pqz, witness);
   oracle::SatSession* s = session();
   oracle::SatSession::Context ctx(s);
   ctx.AddUnit(lit);
@@ -722,63 +687,37 @@ Interpretation MinimalEngine::FreeAtoms(const Partition& pqz) {
 }
 
 // ---------------------------------------------------------------------------
-// Query: one mode-transparent oracle call "DB plus a few extras".
+// Query: one oracle call "DB plus a few extras" on the engine's session.
 // ---------------------------------------------------------------------------
 
-MinimalEngine::Query::Query(MinimalEngine* engine) : engine_(engine) {
-  if (engine_->opts_.use_sessions) {
-    ctx_ = std::make_unique<oracle::SatSession::Context>(engine_->session());
-  } else {
-    fresh_ = std::make_unique<sat::Solver>();
-    LoadDb(engine_->db_, fresh_.get(), engine_->opts_.budget);
-  }
-}
+MinimalEngine::Query::Query(MinimalEngine* engine)
+    : engine_(engine), ctx_(engine->session()) {}
 
 void MinimalEngine::Query::AddClause(std::vector<Lit> lits) {
-  if (ctx_) {
-    ctx_->AddClause(std::move(lits));
-  } else {
-    fresh_->AddClause(std::move(lits));
-  }
+  ctx_.AddClause(std::move(lits));
 }
 
 void MinimalEngine::Query::AddUnit(Lit l) {
-  if (ctx_) {
-    // Units ride as assumptions: no clause garbage, and FailedAssumptions
-    // keeps working for callers that inspect it.
-    units_.push_back(l);
-  } else {
-    fresh_->AddUnit(l);
-  }
+  // Units ride as assumptions: no clause garbage, and FailedAssumptions
+  // keeps working for callers that inspect it.
+  units_.push_back(l);
 }
 
 Var MinimalEngine::Query::NextVar() const {
-  if (ctx_) return engine_->session_->next_var();
-  Var solver_next = static_cast<Var>(fresh_->num_vars());
-  Var db_next = static_cast<Var>(engine_->db_.num_vars());
-  return std::max(solver_next, db_next);
+  return engine_->session_->next_var();
 }
 
 void MinimalEngine::Query::ReserveVars(Var next) {
-  if (ctx_) {
-    engine_->session_->ReserveVars(next);
-  } else {
-    fresh_->EnsureVars(next);
-  }
+  engine_->session_->ReserveVars(next);
 }
 
 sat::SolveResult MinimalEngine::Query::Solve(
     const std::vector<Lit>& extra_assumptions) {
   ++engine_->stats_.sat_calls;
-  sat::SolveResult r;
-  if (ctx_) {
-    assumptions_ = units_;
-    assumptions_.insert(assumptions_.end(), extra_assumptions.begin(),
-                        extra_assumptions.end());
-    r = ctx_->Solve(assumptions_);
-  } else {
-    r = fresh_->Solve(extra_assumptions);
-  }
+  assumptions_ = units_;
+  assumptions_.insert(assumptions_.end(), extra_assumptions.begin(),
+                      extra_assumptions.end());
+  sat::SolveResult r = ctx_.Solve(assumptions_);
   // Auto-latch: semantics call sites test `== kSat` / `== kUnsat` and then
   // consult engine()->interrupted(); this keeps a kUnknown from ever being
   // silently folded into either branch.
@@ -787,324 +726,7 @@ sat::SolveResult MinimalEngine::Query::Solve(
 }
 
 Interpretation MinimalEngine::Query::Model(int n) const {
-  if (ctx_) return engine_->session_->Model(n);
-  return fresh_->Model(n);
-}
-
-// ---------------------------------------------------------------------------
-// Fresh-solver (pre-session) implementations: the --no-sessions baseline,
-// preserved verbatim from the original engine.
-// ---------------------------------------------------------------------------
-
-bool MinimalEngine::HasModelFresh() {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  SolveResult r = s.Solve();
-  stats_.sat_calls += s.stats().solve_calls;
-  if (r == SolveResult::kUnknown) {
-    MarkInterrupted();
-    return false;
-  }
-  return r == SolveResult::kSat;
-}
-
-std::optional<Interpretation> MinimalEngine::FindModelFresh() {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  SolveResult r = s.Solve();
-  stats_.sat_calls += s.stats().solve_calls;
-  if (r == SolveResult::kUnknown) {
-    MarkInterrupted();
-    return std::nullopt;
-  }
-  if (r != SolveResult::kSat) return std::nullopt;
-  return s.Model(db_.num_vars());
-}
-
-bool MinimalEngine::IsMinimalFresh(const Interpretation& m,
-                                   const Partition& pqz) {
-  if (!IsModel(m)) return false;
-  // Search a model strictly below m in the <P;Z> preorder: Q fixed to m's
-  // values, every P-atom false in m stays false, some P-atom true in m
-  // becomes false.
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  std::vector<Lit> smaller;
-  for (Var v = 0; v < db_.num_vars(); ++v) {
-    if (pqz.q.Contains(v)) {
-      s.AddUnit(Lit::Make(v, m.Contains(v)));
-    } else if (pqz.p.Contains(v)) {
-      if (m.Contains(v)) {
-        smaller.push_back(Lit::Neg(v));
-      } else {
-        s.AddUnit(Lit::Neg(v));
-      }
-    }
-  }
-  if (smaller.empty()) {
-    // m's P-part is empty: nothing below it.
-    return true;
-  }
-  s.AddClause(std::move(smaller));
-  SolveResult r = s.Solve();
-  stats_.sat_calls += s.stats().solve_calls;
-  if (r == SolveResult::kUnknown) {
-    MarkInterrupted();
-    return false;
-  }
-  return r == SolveResult::kUnsat;
-}
-
-Interpretation MinimalEngine::MinimizeFresh(const Interpretation& m,
-                                            const Partition& pqz) {
-  DD_CHECK(IsModel(m));
-  ++stats_.minimizations;
-  Interpretation cur = m;
-  // Incremental descent: as P-atoms leave the candidate they are pinned
-  // false with permanent units; the "strictly smaller" clause is refreshed
-  // through a fresh selector each round.
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  for (Var v = 0; v < db_.num_vars(); ++v) {
-    if (pqz.q.Contains(v)) s.AddUnit(Lit::Make(v, m.Contains(v)));
-    if (pqz.p.Contains(v) && !m.Contains(v)) s.AddUnit(Lit::Neg(v));
-  }
-  Var next_selector = static_cast<Var>(db_.num_vars());
-  for (;;) {
-    std::vector<Var> true_p;
-    for (Var v : cur.TrueAtoms()) {
-      if (pqz.p.Contains(v)) true_p.push_back(v);
-    }
-    if (true_p.empty()) break;  // nothing left to remove
-    Var sel = next_selector++;
-    s.EnsureVars(sel + 1);
-    std::vector<Lit> clause{Lit::Neg(sel)};
-    for (Var v : true_p) clause.push_back(Lit::Neg(v));
-    s.AddClause(std::move(clause));
-    SolveResult r = s.Solve({Lit::Pos(sel)});
-    if (r == SolveResult::kUnknown) {
-      // Interrupted mid-descent: cur may not be minimal.
-      stats_.sat_calls += s.stats().solve_calls;
-      MarkInterrupted();
-      return cur;
-    }
-    if (r != SolveResult::kSat) break;  // cur is minimal
-    Interpretation found = s.Model(db_.num_vars());
-    // Pin the freshly removed P-atoms false for all later rounds.
-    for (Var v : true_p) {
-      if (!found.Contains(v)) s.AddUnit(Lit::Neg(v));
-    }
-    cur = found;
-  }
-  stats_.sat_calls += s.stats().solve_calls;
-  return cur;
-}
-
-int MinimalEngine::EnumerateMinimalProjectionsFresh(
-    const Partition& pqz, int64_t cap,
-    const std::function<bool(const Interpretation&)>& cb) {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  int emitted = 0;
-  for (;;) {
-    if (cap >= 0 && emitted >= cap) break;
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      MarkInterrupted();
-      break;  // emitted-so-far is a sound (truncated) prefix
-    }
-    if (r != SolveResult::kSat) break;
-    Interpretation m = s.Model(db_.num_vars());
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) break;  // mm may not be a minimal projection
-    ++emitted;
-    ++stats_.models_enumerated;
-    if (!cb(mm)) break;
-    if (!AddRegionBlock(mm, pqz, &s)) break;  // region = everything
-  }
-  stats_.sat_calls += s.stats().solve_calls;
-  return emitted;
-}
-
-int MinimalEngine::EnumerateAllMinimalModelsFresh(
-    const Partition& pqz, int64_t cap,
-    const std::function<bool(const Interpretation&)>& cb) {
-  // Outer loop over minimal projections; inner loop over Z-completions.
-  int emitted = 0;
-  bool stop = false;
-  EnumerateMinimalProjections(
-      pqz, /*cap=*/-1, [&](const Interpretation& proj) {
-        Solver s;
-        LoadDb(db_, &s, opts_.budget);
-        std::vector<Lit> fixed = ProjectionAssumptions(proj, pqz);
-        for (Lit l : fixed) s.AddUnit(l);
-        for (;;) {
-          if (cap >= 0 && emitted >= cap) {
-            stop = true;
-            break;
-          }
-          SolveResult r = s.Solve();
-          if (r == SolveResult::kUnknown) {
-            MarkInterrupted();
-            stop = true;
-            break;
-          }
-          if (r != SolveResult::kSat) break;
-          Interpretation m = s.Model(db_.num_vars());
-          ++emitted;
-          ++stats_.models_enumerated;
-          if (!cb(m)) {
-            stop = true;
-            break;
-          }
-          // Exclude exactly this Z-completion.
-          std::vector<Lit> diff;
-          for (Var v = 0; v < db_.num_vars(); ++v) {
-            if (pqz.z.Contains(v)) {
-              diff.push_back(m.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
-            }
-          }
-          if (diff.empty()) break;  // no Z atoms: one completion only
-          s.AddClause(std::move(diff));
-        }
-        stats_.sat_calls += s.stats().solve_calls;
-        return !stop;
-      });
-  return emitted;
-}
-
-bool MinimalEngine::MinimalEntailsFresh(const Formula& f, const Partition& pqz,
-                                        Interpretation* counterexample) {
-  // Counterexample search: a <P;Z>-minimal model of DB violating F.
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  Var next = static_cast<Var>(db_.num_vars());
-  std::vector<std::vector<Lit>> fcnf;
-  Lit fl = TseitinEncode(f, &next, &fcnf);
-  s.EnsureVars(next);
-  for (auto& cl : fcnf) s.AddClause(std::move(cl));
-  s.AddUnit(~fl);  // assert ~F
-
-  for (;;) {
-    ++stats_.cegar_iterations;
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      stats_.sat_calls += s.stats().solve_calls;
-      MarkInterrupted();
-      return true;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;  // no counterexample candidate remains
-    }
-    Interpretation m = s.Model(db_.num_vars());
-    bool minimal = IsMinimal(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;
-    }
-    if (minimal) {
-      stats_.sat_calls += s.stats().solve_calls;
-      if (counterexample != nullptr) *counterexample = m;
-      return false;  // m is a minimal model with ~F
-    }
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;
-    }
-    // Does any model sharing mm's minimal projection violate F? Such a
-    // model is itself minimal (minimality depends only on the projection).
-    {
-      Solver probe;
-      LoadDb(db_, &probe, opts_.budget);
-      Var pn = static_cast<Var>(db_.num_vars());
-      std::vector<std::vector<Lit>> pcnf;
-      Lit pl = TseitinEncode(f, &pn, &pcnf);
-      probe.EnsureVars(pn);
-      for (auto& cl : pcnf) probe.AddClause(std::move(cl));
-      probe.AddUnit(~pl);
-      SolveResult pr = probe.Solve(ProjectionAssumptions(mm, pqz));
-      stats_.sat_calls += probe.stats().solve_calls;
-      if (pr == SolveResult::kUnknown) {
-        // Excluding the region without the probe's verdict could hide a
-        // real counterexample (wrong "entailed").
-        stats_.sat_calls += s.stats().solve_calls;
-        MarkInterrupted();
-        return true;
-      }
-      if (pr == SolveResult::kSat) {
-        stats_.sat_calls += s.stats().solve_calls;
-        if (counterexample != nullptr) {
-          *counterexample = probe.Model(db_.num_vars());
-        }
-        return false;
-      }
-    }
-    // No minimal counterexample in this region: exclude the region.
-    if (!AddRegionBlock(mm, pqz, &s)) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return true;
-    }
-  }
-}
-
-bool MinimalEngine::ExistsMinimalModelWithFresh(Lit lit, const Partition& pqz,
-                                                Interpretation* witness) {
-  Solver s;
-  LoadDb(db_, &s, opts_.budget);
-  s.AddUnit(lit);
-  for (;;) {
-    ++stats_.cegar_iterations;
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      stats_.sat_calls += s.stats().solve_calls;
-      MarkInterrupted();
-      return false;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-    Interpretation m = s.Model(db_.num_vars());
-    bool minimal = IsMinimal(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-    if (minimal) {
-      stats_.sat_calls += s.stats().solve_calls;
-      if (witness != nullptr) *witness = m;
-      return true;
-    }
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-    // Some model with mm's projection satisfying lit would be minimal.
-    {
-      Solver probe;
-      LoadDb(db_, &probe, opts_.budget);
-      probe.AddUnit(lit);
-      SolveResult pr = probe.Solve(ProjectionAssumptions(mm, pqz));
-      stats_.sat_calls += probe.stats().solve_calls;
-      if (pr == SolveResult::kUnknown) {
-        stats_.sat_calls += s.stats().solve_calls;
-        MarkInterrupted();
-        return false;
-      }
-      if (pr == SolveResult::kSat) {
-        stats_.sat_calls += s.stats().solve_calls;
-        if (witness != nullptr) *witness = probe.Model(db_.num_vars());
-        return true;
-      }
-    }
-    if (!AddRegionBlock(mm, pqz, &s)) {
-      stats_.sat_calls += s.stats().solve_calls;
-      return false;
-    }
-  }
+  return engine_->session_->Model(n);
 }
 
 }  // namespace dd

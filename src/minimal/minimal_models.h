@@ -13,15 +13,16 @@
 // ignores Z entirely. Enumeration therefore proceeds over minimal
 // *projections*, with Z-completions re-attached on demand.
 //
-// Oracle sessions (src/oracle/): by default the engine owns ONE persistent
+// Oracle sessions (src/oracle/): the engine owns ONE persistent
 // incremental solver for its database. Base clauses are loaded once;
 // each oracle call runs in an activation-guarded context that is retracted
 // afterwards; minimality verdicts/certificates are memoized on (P,Q)
 // projections; and minimal-projection enumeration keeps its blocking
 // clauses alive between calls so repeated Σ₂ᵖ oracle invocations replay
-// instead of recompute. MinimalOptions{use_sessions=false} restores the
-// historical fresh-solver-per-call regime (the benches' --no-sessions A/B
-// baseline); answers are identical in both modes. See docs/ORACLE.md.
+// instead of recompute. The session changes how each oracle call runs,
+// never how many calls the paper's algorithms make; core/brute_force is
+// the independent reference the answers are tested against. See
+// docs/ORACLE.md.
 #ifndef DD_MINIMAL_MINIMAL_MODELS_H_
 #define DD_MINIMAL_MINIMAL_MODELS_H_
 
@@ -48,11 +49,11 @@ namespace dd {
 
 /// Counters for the oracle-call accounting the benches report.
 ///
-/// sat_calls counts solver invocations actually performed: in session mode
-/// it DROPS when memoization answers a call, which is exactly the effect
-/// the benches measure. The paper-level oracle structure (the Σ₂ᵖ call
-/// counts of the counting algorithm, CEGAR iteration structure) is counted
-/// by the callers and is identical in both modes.
+/// sat_calls counts solver invocations actually performed: it DROPS when
+/// memoization answers a call, which is exactly the effect the benches
+/// measure. The paper-level oracle structure (the Σ₂ᵖ call counts of the
+/// counting algorithm, CEGAR iteration structure) is counted by the
+/// callers and is unaffected by memoization.
 struct MinimalStats {
   int64_t sat_calls = 0;        ///< NP-oracle invocations
   int64_t minimizations = 0;    ///< model-minimization loops run
@@ -72,14 +73,10 @@ struct MinimalStats {
 
 /// Engine-level tuning.
 struct MinimalOptions {
-  /// Route oracle calls through one persistent incremental session
-  /// (src/oracle/sat_session.h) instead of a fresh solver per call.
-  bool use_sessions = true;
-
   /// Shared query budget (deadline / conflict / oracle-call limits); null
-  /// means unbudgeted. Attached to every solver the engine creates —
-  /// session or fresh — and inherited by chunk-local and helper engines
-  /// built from these options. See util/budget.h and docs/ROBUSTNESS.md.
+  /// means unbudgeted. Attached to the engine's session and inherited by
+  /// chunk-local and helper engines built from these options. See
+  /// util/budget.h and docs/ROBUSTNESS.md.
   std::shared_ptr<Budget> budget;
 
   /// Answer minimality checks and minimizations through the polynomial
@@ -148,8 +145,6 @@ class MinimalEngine {
   /// spawns helper engines, e.g. per-reduct stability checks).
   void AbsorbStats(const MinimalStats& s) { stats_.Add(s); }
 
-  bool sessions_enabled() const { return opts_.use_sessions; }
-
   // --- Budget / interrupt protocol -----------------------------------------
   //
   // When an oracle call reports kUnknown (budget exhaustion or fault
@@ -186,15 +181,14 @@ class MinimalEngine {
     interrupt_status_ = Status::OK();
   }
 
-  /// Session-reuse accounting (zeroed in fresh-solver mode).
+  /// Session-reuse accounting (all zero until the first oracle call).
   oracle::SessionStats session_stats() const;
 
-  /// The engine's session, created on first use (nullptr when sessions are
-  /// disabled). Clients with bespoke oracle calls prefer Query below.
+  /// The engine's session, created on first use; never null. Clients with
+  /// bespoke oracle calls prefer Query below.
   oracle::SatSession* session();
 
-  /// Classical satisfiability of the database (one SAT call; memoized in
-  /// session mode).
+  /// Classical satisfiability of the database (one SAT call; memoized).
   bool HasModel();
 
   /// Some classical model, if any.
@@ -204,12 +198,12 @@ class MinimalEngine {
   bool IsModel(const Interpretation& m) const { return db_.Satisfies(m); }
 
   /// Is `m` a <P;Z>-minimal model? One SAT call (plus the model check);
-  /// memoized on the (P,Q)-projection in session mode.
+  /// memoized on the (P,Q)-projection.
   bool IsMinimal(const Interpretation& m, const Partition& pqz);
 
   /// Shrinks model `m` to a <P;Z>-minimal model below it (P-part only ever
   /// shrinks; the Q-part is preserved; Z floats). At most |P|+1 SAT calls;
-  /// memoized on the (P,Q)-projection in session mode.
+  /// memoized on the (P,Q)-projection.
   Interpretation Minimize(const Interpretation& m, const Partition& pqz);
 
   /// Per-candidate minimality checks in bulk: verdicts[i] == IsMinimal
@@ -222,16 +216,17 @@ class MinimalEngine {
 
   /// Enumerates one representative model per <P;Z>-minimal projection,
   /// invoking `cb`. Stops early if `cb` returns false or after `cap`
-  /// models (cap < 0 = unlimited). Returns the number emitted. In session
-  /// mode the projection stream is memoized: repeated calls replay the
-  /// known prefix without SAT calls and resume discovery incrementally.
+  /// models (cap < 0 = unlimited). Returns the number emitted. The
+  /// projection stream is memoized: repeated calls replay the known prefix
+  /// without SAT calls and resume discovery incrementally.
   int EnumerateMinimalProjections(
       const Partition& pqz, int64_t cap,
       const std::function<bool(const Interpretation&)>& cb);
 
-  /// A shared handle on `pqz`'s memoized projection stream, iff session
-  /// mode is on and the stream exists and is EXHAUSTED (so the vector is
-  /// frozen — exhausted streams never mutate). Null otherwise. Lets a
+  /// A shared handle on `pqz`'s memoized projection stream, iff the
+  /// stream exists and is EXHAUSTED (so the vector is frozen — exhausted
+  /// streams never mutate). Null otherwise (never enumerated to the end,
+  /// or evicted). Lets a
   /// semantics whose model set IS a projection stream (EGCWA) export it
   /// to the batch layer's model banks without re-materializing: the
   /// stream, the bank and the bank store then all alias one copy, and
@@ -263,11 +258,10 @@ class MinimalEngine {
   /// GCWA/CCWA add ¬x exactly for the P-atoms outside this set.
   Interpretation FreeAtoms(const Partition& pqz);
 
-  /// One classical oracle call over DB plus query-scoped clauses/units,
-  /// mode-transparent: in session mode it is an activation-guarded context
-  /// on the engine's persistent solver; in fresh mode it is a dedicated
-  /// solver pre-loaded with the database. Used by the CWA-family semantics
-  /// and UMINSAT, whose oracle calls are "DB plus a few extras".
+  /// One classical oracle call over DB plus query-scoped clauses/units:
+  /// an activation-guarded context on the engine's persistent session.
+  /// Used by the CWA-family semantics and UMINSAT, whose oracle calls are
+  /// "DB plus a few extras".
   class Query {
    public:
     explicit Query(MinimalEngine* engine);
@@ -277,7 +271,7 @@ class MinimalEngine {
 
     /// Adds a query-scoped clause.
     void AddClause(std::vector<Lit> lits);
-    /// Adds a query-scoped unit (session mode: solved as an assumption).
+    /// Adds a query-scoped unit (solved as an assumption).
     void AddUnit(Lit l);
     /// First variable above everything allocated so far (Tseitin base).
     Var NextVar() const;
@@ -290,9 +284,8 @@ class MinimalEngine {
 
    private:
     MinimalEngine* engine_;
-    std::unique_ptr<oracle::SatSession::Context> ctx_;  // session mode
-    std::unique_ptr<sat::Solver> fresh_;                // fresh mode
-    std::vector<Lit> units_;       // session mode: assumption units
+    oracle::SatSession::Context ctx_;
+    std::vector<Lit> units_;       // assumption units
     std::vector<Lit> assumptions_; // reusable solve buffer
   };
 
@@ -321,23 +314,6 @@ class MinimalEngine {
     oracle::SessionStats sess_before_;
   };
 
-  // Fresh-solver (pre-session) implementations, preserved verbatim for the
-  // --no-sessions A/B baseline.
-  bool HasModelFresh();
-  std::optional<Interpretation> FindModelFresh();
-  bool IsMinimalFresh(const Interpretation& m, const Partition& pqz);
-  Interpretation MinimizeFresh(const Interpretation& m, const Partition& pqz);
-  int EnumerateMinimalProjectionsFresh(
-      const Partition& pqz, int64_t cap,
-      const std::function<bool(const Interpretation&)>& cb);
-  int EnumerateAllMinimalModelsFresh(
-      const Partition& pqz, int64_t cap,
-      const std::function<bool(const Interpretation&)>& cb);
-  bool MinimalEntailsFresh(const Formula& f, const Partition& pqz,
-                           Interpretation* counterexample);
-  bool ExistsMinimalModelWithFresh(Lit lit, const Partition& pqz,
-                                   Interpretation* witness);
-
   /// Latches the interrupt flag and derives interrupt_status_ from the
   /// budget (or a generic ResourceExhausted for injected faults).
   void MarkInterrupted();
@@ -362,7 +338,7 @@ class MinimalEngine {
   bool interrupted_ = false;
   Status interrupt_status_;
 
-  // Session state (null/empty in fresh mode).
+  // Session state (the session is created on first use).
   std::unique_ptr<oracle::SatSession> session_;
   oracle::MinimalityCache cache_;
   oracle::ProjectionStore proj_store_;

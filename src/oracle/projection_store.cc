@@ -1,45 +1,24 @@
 #include "oracle/projection_store.h"
 
-#include <utility>
-
 namespace dd {
 namespace oracle {
 
-ProjectionStream* ProjectionStore::FindStream(const Partition& pqz) {
-  for (auto& s : streams_) {
-    if (s->pqz.p == pqz.p && s->pqz.q == pqz.q && s->pqz.z == pqz.z) {
-      return s.get();
-    }
+size_t ProjectionStore::PartitionHash::operator()(const Partition& pqz) const {
+  size_t h = pqz.p.Hash();
+  for (size_t part : {pqz.q.Hash(), pqz.z.Hash()}) {
+    h ^= part + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
-  return nullptr;
+  return h;
 }
 
 ProjectionStream* ProjectionStore::GetStream(const Partition& pqz) {
-  for (auto& s : streams_) {
-    if (s->pqz.p == pqz.p && s->pqz.q == pqz.q && s->pqz.z == pqz.z) {
-      s->last_used = ++tick_;
-      return s.get();
-    }
-  }
-  if (cap_ > 0 && static_cast<int64_t>(streams_.size()) >= cap_) {
-    // Evict the least-recently-used stream. Its kept context stays inert in
-    // the session; a later request for its partition re-enumerates the
-    // identical stream from scratch.
-    size_t lru = 0;
-    for (size_t i = 1; i < streams_.size(); ++i) {
-      if (streams_[i]->last_used < streams_[lru]->last_used) lru = i;
-    }
-    if (lru != streams_.size() - 1) {
-      streams_[lru] = std::move(streams_.back());
-    }
-    streams_.pop_back();
-    ++evictions_;
-  }
-  auto stream = std::make_unique<ProjectionStream>();
-  stream->pqz = pqz;
-  stream->last_used = ++tick_;
-  streams_.push_back(std::move(stream));
-  return streams_.back().get();
+  if (ProjectionStream* s = streams_.Get(pqz)) return s;
+  // A new partition. At capacity the least-recently-used stream is
+  // evicted; its kept context stays inert in the session, and a later
+  // request for its partition re-enumerates the identical stream.
+  const auto put = streams_.Put(pqz, ProjectionStream());
+  evictions_ += put.evicted;
+  return put.value;
 }
 
 }  // namespace oracle

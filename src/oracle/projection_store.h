@@ -3,8 +3,8 @@
 //
 // EnumerateMinimalProjections is the workhorse inside the Σ₂ᵖ oracle of
 // the paper's counting algorithm (Section 3.1): the binary search calls it
-// O(log n) times over the SAME database and partition, each time from
-// scratch in the fresh-solver regime. A ProjectionStream instead records
+// O(log n) times over the SAME database and partition, and each call would
+// otherwise enumerate from scratch. A ProjectionStream instead records
 // the projections in their discovery order together with the session
 // context holding their region-blocking clauses; later calls replay the
 // memoized prefix with zero SAT calls and, only if the consumer wants
@@ -18,7 +18,8 @@
 // Capacity: SetCapacity bounds the number of live streams (each one pins
 // its projections plus a kept session context for the life of the store —
 // unbounded growth is a leak under long-lived batch servers that sweep
-// many partitions). Eviction is LRU by GetStream access. Dropping a stream
+// many partitions). Eviction is LRU by GetStream access (util/bounded_lru.h);
+// FindStream never refreshes a stream's position. Dropping a stream
 // is sound: its kept context stays inert in the session (guarded clauses
 // constrain nothing without their activation assumption), and a later
 // GetStream simply re-enumerates from scratch — deterministically the same
@@ -26,6 +27,7 @@
 #ifndef DD_ORACLE_PROJECTION_STORE_H_
 #define DD_ORACLE_PROJECTION_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -33,13 +35,13 @@
 #include "logic/interpretation.h"
 #include "minimal/pqz.h"
 #include "oracle/sat_session.h"
+#include "util/bounded_lru.h"
 
 namespace dd {
 namespace oracle {
 
 /// One partition's memoized enumeration state.
 struct ProjectionStream {
-  Partition pqz;
   /// Minimal projections in discovery order (each is a full model; its
   /// (P,Q)-projection is the canonical datum). Held behind a shared
   /// handle so an EXHAUSTED stream's storage can be aliased outward
@@ -54,12 +56,11 @@ struct ProjectionStream {
   /// Persistent context guarding the region-blocking clauses; kept alive
   /// for the life of the stream so resumption is incremental.
   std::unique_ptr<SatSession::Context> ctx;
-  /// Last GetStream access (LRU eviction order).
-  int64_t last_used = 0;
 };
 
-/// Per-engine registry of streams, one per partition (full bitset
-/// equality, never hashed).
+/// Per-engine registry of streams, one per partition. Partitions are
+/// bucketed by hash but compared by full bitset equality, so two distinct
+/// partitions never share a stream.
 class ProjectionStore {
  public:
   /// Finds or creates the stream for `pqz`. The returned pointer is valid
@@ -70,20 +71,30 @@ class ProjectionStore {
   /// touching LRU order): nullptr when absent. Read-only probes — e.g.
   /// handing out an exhausted stream's shared projections — must not
   /// trigger eviction of an unrelated live stream.
-  ProjectionStream* FindStream(const Partition& pqz);
+  ProjectionStream* FindStream(const Partition& pqz) {
+    return streams_.Peek(pqz);
+  }
 
   /// Bounds the number of live streams; <= 0 means unbounded.
-  void SetCapacity(int64_t cap) { cap_ = cap; }
-  int64_t capacity() const { return cap_; }
-  int64_t size() const { return static_cast<int64_t>(streams_.size()); }
+  void SetCapacity(int64_t cap) { streams_.SetCapacity(cap); }
+  int64_t capacity() const { return streams_.capacity(); }
+  int64_t size() const { return streams_.size(); }
   int64_t evictions() const { return evictions_; }
 
-  void Clear() { streams_.clear(); }
+  void Clear() { streams_.Clear(); }
 
  private:
-  std::vector<std::unique_ptr<ProjectionStream>> streams_;
-  int64_t cap_ = 0;
-  int64_t tick_ = 0;
+  struct PartitionHash {
+    size_t operator()(const Partition& pqz) const;
+  };
+  struct PartitionEq {
+    bool operator()(const Partition& a, const Partition& b) const {
+      return a.p == b.p && a.q == b.q && a.z == b.z;
+    }
+  };
+
+  util::BoundedLru<Partition, ProjectionStream, PartitionHash, PartitionEq>
+      streams_;
   int64_t evictions_ = 0;
 };
 

@@ -46,8 +46,8 @@ class ClosedWorldSemantics : public Semantics {
   /// Attaches the query trace to the owned engine.
   void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
 
-  /// Session-reuse accounting of the underlying engine (all zero in
-  /// fresh-solver mode). The benches report cache_hits from here.
+  /// Session-reuse accounting of the underlying engine (all zero until an
+  /// oracle call runs). The benches report cache_hits from here.
   oracle::SessionStats session_stats() const override {
     return engine_.session_stats();
   }

@@ -48,8 +48,8 @@ bool CounterexampleWithFreeCount(MinimalEngine* engine, const Partition& pqz,
         }
         return count < free_count;
       });
-  // SAT: DB ∧ {¬x : x ∈ P \ covered} ∧ ¬F — one oracle call through the
-  // engine (a guarded session context, or a dedicated solver in fresh mode).
+  // SAT: DB ∧ {¬x : x ∈ P \ covered} ∧ ¬F — one oracle call through a
+  // guarded context on the engine's session.
   const Database& db = engine->db();
   MinimalEngine::Query q(engine);
   for (Var v = 0; v < db.num_vars(); ++v) {

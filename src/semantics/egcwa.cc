@@ -100,7 +100,8 @@ EgcwaSemantics::SharedModels(int64_t cap) {
   std::shared_ptr<const std::vector<Interpretation>> shared =
       engine_.SharedExhaustedProjections(all_);
   if (shared != nullptr) return shared;
-  // Fresh-solver mode has no memoized stream; copy via the default.
+  // Reached only when the stream is not exhausted or was evicted from the
+  // engine's projection store; copy via the default.
   return Semantics::SharedModels(cap);
 }
 

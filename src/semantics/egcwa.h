@@ -40,7 +40,7 @@ class EgcwaSemantics : public Semantics {
   /// batch layer's in-flight bank and the bank store then share ONE copy
   /// (safe: exhausted streams are frozen, and stream eviction only drops
   /// the engine's reference). Falls back to the copying default when the
-  /// stream is unavailable (fresh-solver mode). Same cap/overflow
+  /// stream is unavailable (evicted). Same cap/overflow
   /// conventions as Models().
   Result<std::shared_ptr<const std::vector<Interpretation>>> SharedModels(
       int64_t cap = -1) override;
@@ -64,8 +64,8 @@ class EgcwaSemantics : public Semantics {
   /// Attaches the query trace to the owned engine.
   void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
 
-  /// Session-reuse accounting of the underlying engine (all zero in
-  /// fresh-solver mode). The benches report cache_hits from here.
+  /// Session-reuse accounting of the underlying engine (all zero until an
+  /// oracle call runs). The benches report cache_hits from here.
   oracle::SessionStats session_stats() const override {
     return engine_.session_stats();
   }

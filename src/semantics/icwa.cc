@@ -117,7 +117,7 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
     // Probe: a ¬F-model sharing mm's exact <Pᵢ,Qᵢ>-projection would be
     // ECWA_i-minimal; if none exists the whole region is safe to block
     // (its ICWA models, if any, satisfy F). The probe is "positivized DB
-    // plus Tseitin(¬F)", so it rides the engine's session in session mode.
+    // plus Tseitin(¬F)", so it rides the engine's session.
     MinimalEngine::Query probe(&engine_);
     {
       std::vector<std::vector<Lit>> pcnf;

@@ -31,9 +31,8 @@ Result<bool> PerfSemantics::IsPerfect(const Interpretation& m) {
   if (!db_.Satisfies(m)) return false;
   // One SAT call: does a model N preferable to m exist? N « m iff N ≠ m and
   // every x ∈ N∖m is dominated by some y ∈ m∖N with x < y. This is "DB plus
-  // a few query clauses", so it rides the engine's persistent session (a
-  // dedicated solver in --no-sessions mode); the per-candidate loop in
-  // Models() makes it the hot PERF oracle call.
+  // a few query clauses", so it rides the engine's persistent session; the
+  // per-candidate loop in Models() makes it the hot PERF oracle call.
   MinimalEngine::Query q(&engine_);
   std::vector<Lit> differs;
   for (Var v = 0; v < db_.num_vars(); ++v) {

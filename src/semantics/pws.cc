@@ -4,7 +4,6 @@
 #include <set>
 
 #include "fixpoint/ddr_fixpoint.h"
-#include "semantics/pws_encoding.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -210,16 +209,6 @@ Result<Interpretation> PwsSemantics::PossibleAtoms() {
     // model is itself a possible model containing every atom any possible
     // model contains.
     possible_atoms_ = DefiniteLeastModel(db());
-    return *possible_atoms_;
-  }
-  if (options().pws_use_sat_encoding) {
-    PwsEncodingStats stats;
-    DD_ASSIGN_OR_RETURN(Interpretation atoms,
-                        PossibleAtomsViaSat(db(), &stats, options().budget));
-    MinimalStats ms;
-    ms.sat_calls = stats.sat_calls;
-    engine()->AbsorbStats(ms);
-    possible_atoms_ = std::move(atoms);
     return *possible_atoms_;
   }
   DD_ASSIGN_OR_RETURN(std::vector<Interpretation> pms, PossibleModels());

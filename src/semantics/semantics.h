@@ -38,20 +38,11 @@ struct SemanticsOptions {
   /// procedures (PWS splits, PERF/DSM candidate loops, PDSM bit models).
   /// Exceeding it yields ResourceExhausted rather than a wrong answer.
   int64_t max_candidates = 1000000;
-  /// PWS: compute the possible-atom set through the SAT encoding
-  /// (semantics/pws_encoding.h) instead of split enumeration. One NP-oracle
-  /// call per undecided atom; immune to split blowup.
-  bool pws_use_sat_encoding = false;
   /// Reasoner: route queries through the static-analysis dispatch layer
   /// (analysis/dispatch.h), which downgrades to polynomial engines when
   /// ProgramProperties proves the input easy (Tables 1/2). Answers are
   /// identical to the generic path; off forces the generic engines.
   bool analysis_dispatch = true;
-  /// Route NP-oracle calls through one persistent incremental session per
-  /// database (src/oracle/sat_session.h) instead of a fresh solver per
-  /// call. Answers are identical in both modes; off restores the
-  /// historical baseline (the benches' --no-sessions A/B leg).
-  bool use_sessions = true;
   /// Worker threads for the parallel helpers (bulk minimality checks, DDR
   /// expansion rounds, PWS split scanning). Results are bit-identical for
   /// every value; <= 1 runs serially on the calling thread.
@@ -86,7 +77,6 @@ struct SemanticsOptions {
   /// The engine-level tuning derived from these options.
   MinimalOptions minimal_options() const {
     MinimalOptions mo;
-    mo.use_sessions = use_sessions;
     mo.budget = budget;
     mo.hcf_minimality = hcf_minimality;
     mo.hcf_certificates = hcf_certificates;
@@ -190,8 +180,8 @@ class Semantics {
   /// by core/Reasoner; see obs/trace.h and docs/OBSERVABILITY.md.
   virtual void SetTrace(obs::TraceContext* trace) = 0;
 
-  /// Session-reuse accounting of the owned engine(s) (all zero in
-  /// fresh-solver mode). The benches and the reasoner's trace spans report
+  /// Session-reuse accounting of the owned engine(s) (all zero until an
+  /// oracle call runs). The benches and the reasoner's trace spans report
   /// cache_hits from here.
   virtual oracle::SessionStats session_stats() const = 0;
 

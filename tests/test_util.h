@@ -7,10 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "core/brute_force.h"
 #include "gtest/gtest.h"
 #include "logic/database.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
+#include "logic/partial_interpretation.h"
+#include "minimal/pqz.h"
+#include "semantics/semantics.h"
 #include "util/rng.h"
 
 namespace dd {
@@ -57,6 +61,99 @@ inline Formula RandomFormula(Rng* rng, int num_vars, int depth) {
     default:
       return FormulaNode::MakeNot(RandomFormula(rng, num_vars, depth - 1));
   }
+}
+
+/// The core/brute_force reference for one semantics kind, as MakeSemantics
+/// instantiates it (CCWA/ECWA with the all-minimized partition). PDSM is
+/// three-valued: `partial` holds its partial stable models and `models`
+/// the total ones; every other kind fills `models` only.
+struct BruteReference {
+  std::vector<Interpretation> models;
+  std::vector<PartialInterpretation> partial;
+  bool three_valued = false;
+
+  bool HasModel() const {
+    return three_valued ? !partial.empty() : !models.empty();
+  }
+
+  /// Skeptical inference; PDSM requires f to be true (not merely
+  /// undefined) in every partial stable model.
+  bool Infers(const Formula& f) const {
+    if (!three_valued) return brute::Infers(models, f);
+    return std::all_of(partial.begin(), partial.end(),
+                       [&](const PartialInterpretation& i) {
+                         return f->Eval3(i) == TruthValue::kTrue;
+                       });
+  }
+};
+
+/// CWA's model set from brute::AllModels: the models whose true atoms are
+/// all entailed (true in every model). Either {the entailed set} or empty.
+inline std::vector<Interpretation> BruteCwaModels(const Database& db) {
+  std::vector<Interpretation> all = brute::AllModels(db);
+  if (all.empty()) return all;
+  Interpretation entailed = all[0];
+  for (const Interpretation& m : all) {
+    for (Var v : entailed.TrueAtoms()) {
+      if (!m.Contains(v)) entailed.Erase(v);
+    }
+  }
+  std::vector<Interpretation> out;
+  for (const Interpretation& m : all) {
+    const std::vector<Var> atoms = m.TrueAtoms();
+    if (std::all_of(atoms.begin(), atoms.end(),
+                    [&](Var v) { return entailed.Contains(v); })) {
+      out.push_back(m);
+    }
+  }
+  return out;
+}
+
+/// The reference each kind's own test file checks against.
+inline BruteReference BruteForceReference(SemanticsKind kind,
+                                          const Database& db) {
+  BruteReference ref;
+  const Partition all = Partition::MinimizeAll(db.num_vars());
+  switch (kind) {
+    case SemanticsKind::kCwa:
+      ref.models = BruteCwaModels(db);
+      break;
+    case SemanticsKind::kGcwa:
+      ref.models = brute::GcwaModels(db);
+      break;
+    case SemanticsKind::kEgcwa:
+      ref.models = brute::MinimalModels(db);
+      break;
+    case SemanticsKind::kCcwa:
+      ref.models = brute::CcwaModels(db, all);
+      break;
+    case SemanticsKind::kEcwa:
+      ref.models = brute::PqzMinimalModels(db, all);
+      break;
+    case SemanticsKind::kDdr:
+      ref.models = brute::DdrModels(db);
+      break;
+    case SemanticsKind::kPws:
+      ref.models = brute::PwsModels(db);
+      break;
+    case SemanticsKind::kPerf:
+      ref.models = brute::PerfectModels(db);
+      break;
+    case SemanticsKind::kIcwa:
+      ref.models = brute::IcwaModels(db);
+      break;
+    case SemanticsKind::kDsm:
+      ref.models = brute::StableModels(db);
+      break;
+    case SemanticsKind::kPdsm:
+      ref.three_valued = true;
+      ref.partial = brute::PartialStableModels(db);
+      for (const PartialInterpretation& i : ref.partial) {
+        if (i.IsTotal()) ref.models.push_back(i.TrueSet());
+      }
+      break;
+  }
+  return ref;
 }
 
 }  // namespace testing
