@@ -1,5 +1,7 @@
 #include "semantics/dsm.h"
 
+#include <algorithm>
+
 #include "sat/solver.h"
 #include "util/string_util.h"
 
@@ -9,23 +11,83 @@ DsmSemantics::DsmSemantics(const Database& db, const SemanticsOptions& opts)
     : db_(db),
       opts_(opts),
       engine_(db, opts.minimal_options()),
-      all_(Partition::MinimizeAll(db.num_vars())) {}
+      all_(Partition::MinimizeAll(db.num_vars())),
+      has_negation_(db.HasNegation()) {}
 
 void DsmSemantics::SetBudget(std::shared_ptr<Budget> budget) {
   opts_.budget = budget;
+  if (stability_) stability_->SetBudget(budget);
   engine_.SetBudget(std::move(budget));
 }
 
+void DsmSemantics::SetTrace(obs::TraceContext* trace) {
+  engine_.SetTrace(trace);
+  if (stability_) stability_->SetTrace(trace);
+}
+
+oracle::SessionStats DsmSemantics::session_stats() const {
+  oracle::SessionStats out = engine_.session_stats();
+  if (stability_) out.Add(stability_->session_stats());
+  return out;
+}
+
+MinimalEngine* DsmSemantics::Stability() {
+  if (stability_) return stability_.get();
+  const Var n = static_cast<Var>(db_.num_vars());
+  for (int i = 0; i < db_.num_clauses(); ++i) {
+    if (!db_.clause(i).neg_body().empty()) guarded_.push_back(i);
+  }
+  Vocabulary voc = db_.vocabulary();
+  voc.MakeFresh(static_cast<int>(guarded_.size()), "dsm_sel");
+  Database skeleton(std::move(voc));
+  Var sel = n;
+  for (const Clause& c : db_.clauses()) {
+    if (c.neg_body().empty()) {
+      skeleton.AddClause(c);
+      continue;
+    }
+    std::vector<Var> body = c.pos_body();
+    body.push_back(sel++);
+    skeleton.AddClause(Clause(c.heads(), std::move(body), {}));
+  }
+  stability_pqz_ = Partition::MinimizeAll(skeleton.num_vars());
+  for (Var v = n; v < skeleton.num_vars(); ++v) {
+    stability_pqz_.p.Erase(v);
+    stability_pqz_.q.Insert(v);
+  }
+  // opts_ carries the current budget; the trace follows the owned engine.
+  stability_ =
+      std::make_unique<MinimalEngine>(skeleton, opts_.minimal_options());
+  stability_->SetTrace(engine_.trace());
+  return stability_.get();
+}
+
 Result<bool> DsmSemantics::IsStable(const Interpretation& m) {
+  if (!has_negation_) {
+    // DB^M = DB: stability is plain minimality (a memo hit for candidates
+    // ForEachStable has just minimized).
+    bool minimal = engine_.IsMinimal(m, all_);
+    if (engine_.interrupted()) return engine_.interrupt_status();
+    return minimal;
+  }
   if (!db_.Satisfies(m)) return false;
-  Database reduct = db_.GlReduct(m);
-  // m satisfies the reduct whenever it satisfies DB; stability is
-  // minimality within the reduct. The reduct engine inherits the budget
-  // through opts_.minimal_options().
-  MinimalEngine re(reduct, opts_.minimal_options());
-  bool stable = re.IsMinimal(m, all_);
-  engine_.AbsorbStats(re.stats());
-  if (re.interrupted()) return re.interrupt_status();
+  MinimalEngine* e = Stability();
+  // M ∪ S_M: s_j is on iff clause guarded_[j] survives into DB^M. M
+  // satisfies the skeleton because it satisfies DB.
+  Interpretation m_sel(e->db().num_vars());
+  for (Var v : m.TrueAtoms()) m_sel.Insert(v);
+  const Var n = static_cast<Var>(db_.num_vars());
+  for (size_t j = 0; j < guarded_.size(); ++j) {
+    const std::vector<Var>& neg = db_.clause(guarded_[j]).neg_body();
+    if (std::none_of(neg.begin(), neg.end(),
+                     [&m](Var v) { return m.Contains(v); })) {
+      m_sel.Insert(n + static_cast<Var>(j));
+    }
+  }
+  bool stable = e->IsMinimal(m_sel, stability_pqz_);
+  engine_.AbsorbStats(e->stats());
+  e->ResetStats();
+  if (e->interrupted()) return e->interrupt_status();
   return stable;
 }
 
@@ -152,6 +214,15 @@ Result<bool> DsmSemantics::InfersFormula(const Formula& f) {
 Result<std::optional<Interpretation>> DsmSemantics::FindCounterexample(
     const Formula& f) {
   std::optional<Interpretation> out;
+  if (!has_negation_) {
+    // DSM = MM: the counterexample-guided entailment loop EGCWA uses, with
+    // no stable-model enumeration.
+    Interpretation witness;
+    bool entailed = engine_.MinimalEntails(f, all_, &witness);
+    if (engine_.interrupted()) return engine_.interrupt_status();
+    if (!entailed) out = std::move(witness);
+    return out;
+  }
   DD_RETURN_IF_ERROR(ForEachStable([&](const Interpretation& m) {
     if (!f->Eval(m)) {
       out = m;
@@ -164,6 +235,12 @@ Result<std::optional<Interpretation>> DsmSemantics::FindCounterexample(
 
 Result<bool> DsmSemantics::HasModel() {
   if (db_.IsPositive()) return true;  // DSM = MM for positive DBs
+  if (!has_negation_) {
+    // DSM = MM, which is nonempty iff DB has a model at all.
+    bool sat = engine_.HasModel();
+    if (engine_.interrupted()) return engine_.interrupt_status();
+    return sat;
+  }
   bool found = false;
   DD_RETURN_IF_ERROR(ForEachStable([&](const Interpretation&) {
     found = true;

@@ -5,11 +5,23 @@
 // disjunctive stable model iff M ∈ MM(DB^M). Stable models are minimal
 // models of DB, and on positive databases DSM = MM.
 //
+// Stability checks run on ONE persistent engine per instance. Every clause
+// c with a negative body gets a fresh selector atom s_c, and the skeleton
+// clause heads(c) <- pos(c) ∧ s_c replaces it (negation-free clauses are
+// copied). Setting s_c := [neg(c) ∩ M = ∅] turns the skeleton into DB^M,
+// so "M ∈ MM(DB^M)" is one <P=V; Q=selectors; Z=∅> minimality check of
+// M ∪ S_M — no reduct, engine or solver is built per candidate. On
+// negation-free DBs DB^M = DB, and the owned engine answers directly.
+// See docs/ORACLE.md ("Stable-model checks").
+//
 // Complexity: stability of a candidate is one SAT call; literal and
 // formula inference Π₂ᵖ-complete; model existence Σ₂ᵖ-complete for DNDBs
-// (trivial for positive DBs).
+// (trivial for positive DBs, one SAT call for negation-free DBs).
 #ifndef DD_SEMANTICS_DSM_H_
 #define DD_SEMANTICS_DSM_H_
+
+#include <memory>
+#include <vector>
 
 #include "minimal/pqz.h"
 #include "semantics/semantics.h"
@@ -22,7 +34,8 @@ class DsmSemantics : public Semantics {
 
   SemanticsKind kind() const override { return SemanticsKind::kDsm; }
 
-  /// One reduct construction + one minimality (SAT) call.
+  /// One minimality (SAT) call on the persistent selector skeleton
+  /// (memoized on M and its selector values).
   Result<bool> IsStable(const Interpretation& m);
 
   /// Enables support pruning in the candidate search: every stable model
@@ -41,35 +54,45 @@ class DsmSemantics : public Semantics {
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 
-  /// Trivially true for positive DBs (DSM = MM ≠ ∅); candidate search
-  /// otherwise (the Σ₂ᵖ-complete entry).
+  /// Trivially true for positive DBs (DSM = MM ≠ ∅); one SAT call for
+  /// negation-free DBs (DSM = MM, nonempty iff DB is satisfiable);
+  /// candidate search otherwise (the Σ₂ᵖ-complete entry).
   Result<bool> HasModel() override;
 
   const MinimalStats& stats() const override { return engine_.stats(); }
 
-  /// Installs the budget on the owned engine and the options (reduct
-  /// engines and the support-pruned candidate solver are budgeted from the
-  /// options).
+  /// Installs the budget on both owned engines (clearing their latched
+  /// interrupts) and the options (the support-pruned candidate solver is
+  /// budgeted from the options).
   void SetBudget(std::shared_ptr<Budget> budget) override;
 
-  /// Attaches the query trace to the owned engine (reduct engines run
-  /// untraced; their counters fold into stats()).
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
+  /// Attaches the query trace to both owned engines; stability checks show
+  /// up as "minimal" spans, and their counters fold into stats().
+  void SetTrace(obs::TraceContext* trace) override;
 
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
+  /// Session-reuse accounting of both owned engines.
+  oracle::SessionStats session_stats() const override;
 
  private:
   /// Runs `visit` over stable models until it returns false.
   Status ForEachStable(const std::function<bool(const Interpretation&)>& visit);
+
+  /// The stability engine over the selector skeleton, built on first use
+  /// (DBs with negation only).
+  MinimalEngine* Stability();
 
   Database db_;
   SemanticsOptions opts_;
   MinimalEngine engine_;
   Partition all_;
   bool support_pruning_ = true;
+  bool has_negation_;
+
+  // Selector skeleton: guarded_[j] is the index of the j-th clause with a
+  // negative body; its selector is atom db_.num_vars() + j of stability_.
+  std::vector<int> guarded_;
+  std::unique_ptr<MinimalEngine> stability_;
+  Partition stability_pqz_;  ///< P = DB atoms, Q = selectors, Z = ∅
 };
 
 }  // namespace dd

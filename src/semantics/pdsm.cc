@@ -1,5 +1,7 @@
 #include "semantics/pdsm.h"
 
+#include <algorithm>
+
 #include "sat/solver.h"
 #include "util/macros.h"
 #include "util/string_util.h"
@@ -21,26 +23,35 @@ Vocabulary MakeBitVocabulary(const Database& db) {
   return voc;
 }
 
-}  // namespace
-
-PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      bit_db_(MakeBitVocabulary(db)),
-      engine_(bit_db_, opts.minimal_options()) {
-  const Var n = db_.num_vars();
+// Fills `bit_db` with the two-bit encoding of DB's 3-valued models and
+// returns the selector skeleton of every 3-valued reduct (pdsm.h),
+// recording the clauses with a negative body in `guarded`. Both start from
+// the consistency clauses t(v) -> nf(v) and, per source clause (heads a,
+// pos body b, neg body c), the split of value(head) >= value(body) into
+//   body >= 1/2  ->  head >= 1/2 :   ∨ nf(a) ∨ ¬nf(b)...
+//   body  = 1    ->  head  = 1   :   ∨ t(a)  ∨ ¬t(b)...
+// The bit database adds the negative body to the heads (value(¬c) >= 1/2
+// iff ¬t(c); value(¬c) = 1 iff ¬nf(c)); the skeleton instead guards the
+// two clauses with a_j (κ >= 1/2) and b_j (κ = 1).
+Database BuildBitDatabases(const Database& db, Database* bit_db,
+                           std::vector<int>* guarded) {
+  for (int i = 0; i < db.num_clauses(); ++i) {
+    if (!db.clause(i).neg_body().empty()) guarded->push_back(i);
+  }
+  const Var n = db.num_vars();
+  const Var k = static_cast<Var>(guarded->size());
+  Vocabulary voc = bit_db->vocabulary();
+  voc.MakeFresh(k, "pdsm_half_sel");
+  voc.MakeFresh(k, "pdsm_one_sel");
+  Database skeleton(std::move(voc));
   auto t = [](Var v) { return v; };
   auto nf = [n](Var v) { return n + v; };
-
-  // Consistency: t(v) -> nf(v).
   for (Var v = 0; v < n; ++v) {
-    bit_db_.AddClause(Clause({nf(v)}, {t(v)}, {}));
+    bit_db->AddClause(Clause({nf(v)}, {t(v)}, {}));
+    skeleton.AddClause(Clause({nf(v)}, {t(v)}, {}));
   }
-  // Per source clause (heads a, pos body b, neg body c), 3-valued
-  // satisfaction value(head) >= value(body) splits into two implications:
-  //   body >= 1/2  ->  head >= 1/2 :   ∨ nf(a) ∨ ¬nf(b)... ∨ t(c)...
-  //   body  = 1    ->  head  = 1   :   ∨ t(a)  ∨ ¬t(b)...  ∨ nf(c)...
-  for (const Clause& c : db_.clauses()) {
+  Var j = 0;
+  for (const Clause& c : db.clauses()) {
     std::vector<Var> heads_a, heads_b, body_a, body_b;
     for (Var a : c.heads()) {
       heads_a.push_back(nf(a));
@@ -50,15 +61,41 @@ PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
       body_a.push_back(nf(b));
       body_b.push_back(t(b));
     }
-    for (Var neg : c.neg_body()) {
-      // value(¬c) >= 1/2 iff c <= 1/2 iff ¬t(c); value(¬c)=1 iff ¬nf(c).
-      heads_a.push_back(t(neg));
-      heads_b.push_back(nf(neg));
+    if (c.neg_body().empty()) {
+      bit_db->AddClause(Clause(heads_a, body_a, {}));
+      bit_db->AddClause(Clause(heads_b, body_b, {}));
+    } else {
+      std::vector<Var> bit_heads_a = heads_a, bit_heads_b = heads_b;
+      for (Var neg : c.neg_body()) {
+        bit_heads_a.push_back(t(neg));
+        bit_heads_b.push_back(nf(neg));
+      }
+      bit_db->AddClause(Clause(std::move(bit_heads_a), body_a, {}));
+      bit_db->AddClause(Clause(std::move(bit_heads_b), body_b, {}));
+      body_a.push_back(2 * n + j);
+      body_b.push_back(2 * n + k + j);
+      ++j;
     }
-    bit_db_.AddClause(Clause(std::move(heads_a), std::move(body_a), {}));
-    bit_db_.AddClause(Clause(std::move(heads_b), std::move(body_b), {}));
+    skeleton.AddClause(Clause(std::move(heads_a), std::move(body_a), {}));
+    skeleton.AddClause(Clause(std::move(heads_b), std::move(body_b), {}));
   }
-  engine_ = MinimalEngine(bit_db_, opts_.minimal_options());
+  return skeleton;
+}
+
+}  // namespace
+
+PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
+    : db_(db),
+      opts_(opts),
+      bit_db_(MakeBitVocabulary(db)),
+      engine_(BuildBitDatabases(db, &bit_db_, &guarded_),
+              opts.minimal_options()) {
+  const Var n = db_.num_vars();
+  stability_pqz_ = Partition::MinimizeAll(engine_.db().num_vars());
+  for (Var v = 2 * n; v < engine_.db().num_vars(); ++v) {
+    stability_pqz_.p.Erase(v);
+    stability_pqz_.q.Insert(v);
+  }
 }
 
 PartialInterpretation PdsmSemantics::DecodeBits(
@@ -84,35 +121,6 @@ Interpretation PdsmSemantics::EncodeBits(const PartialInterpretation& i) const {
   return out;
 }
 
-Database PdsmSemantics::BuildReductBitDb(const PartialInterpretation& i) const {
-  const Var n = db_.num_vars();
-  auto t = [](Var v) { return v; };
-  auto nf = [n](Var v) { return n + v; };
-  Database out(bit_db_.vocabulary());
-  for (Var v = 0; v < n; ++v) {
-    out.AddClause(Clause({nf(v)}, {t(v)}, {}));
-  }
-  for (const Clause& c : db_.clauses()) {
-    // Constant contribution of the (replaced) negative body.
-    TruthValue kappa = TruthValue::kTrue;
-    for (Var neg : c.neg_body()) kappa = std::min(kappa, Negate(i.Value(neg)));
-    if (kappa == TruthValue::kFalse) continue;  // body is 0: clause holds
-
-    std::vector<Var> heads_a, body_a;
-    for (Var a : c.heads()) heads_a.push_back(nf(a));
-    for (Var b : c.pos_body()) body_a.push_back(nf(b));
-    out.AddClause(Clause(std::move(heads_a), std::move(body_a), {}));
-
-    if (kappa == TruthValue::kTrue) {
-      std::vector<Var> heads_b, body_b;
-      for (Var a : c.heads()) heads_b.push_back(t(a));
-      for (Var b : c.pos_body()) body_b.push_back(t(b));
-      out.AddClause(Clause(std::move(heads_b), std::move(body_b), {}));
-    }
-  }
-  return out;
-}
-
 void PdsmSemantics::SetBudget(std::shared_ptr<Budget> budget) {
   opts_.budget = budget;
   engine_.SetBudget(std::move(budget));
@@ -122,15 +130,24 @@ Result<bool> PdsmSemantics::IsPartialStable(const PartialInterpretation& i) {
   if (i.num_vars() != db_.num_vars()) {
     return Status::InvalidArgument("interpretation size mismatch");
   }
-  Database reduct = BuildReductBitDb(i);
-  Interpretation bits = EncodeBits(i);
-  if (!reduct.Satisfies(bits)) return false;
-  MinimalEngine re(reduct, opts_.minimal_options());
-  Partition all = Partition::MinimizeAll(reduct.num_vars());
-  bool minimal = re.IsMinimal(bits, all);
-  engine_.AbsorbStats(re.stats());
-  if (re.interrupted()) return re.interrupt_status();
-  return minimal;
+  // bits(I) ∪ sel(I): the two-bit encoding plus the selectors that turn
+  // the skeleton into the reduct DB^I.
+  const Var n = db_.num_vars();
+  const Var k = static_cast<Var>(guarded_.size());
+  Interpretation x(engine_.db().num_vars());
+  for (Var v : EncodeBits(i).TrueAtoms()) x.Insert(v);
+  for (Var j = 0; j < k; ++j) {
+    // Constant value κ of the (replaced) negative body.
+    TruthValue kappa = TruthValue::kTrue;
+    for (Var neg : db_.clause(guarded_[static_cast<size_t>(j)]).neg_body()) {
+      kappa = std::min(kappa, Negate(i.Value(neg)));
+    }
+    if (kappa != TruthValue::kFalse) x.Insert(2 * n + j);
+    if (kappa == TruthValue::kTrue) x.Insert(2 * n + k + j);
+  }
+  bool stable = engine_.IsMinimal(x, stability_pqz_);
+  if (engine_.interrupted()) return engine_.interrupt_status();
+  return stable;
 }
 
 Status PdsmSemantics::ForEachPartialStable(

@@ -11,6 +11,14 @@
 // ordinary subset-minimality of a derived two-valued database over 2n
 // atoms, and the whole MinimalEngine machinery applies.
 //
+// Stability checks run on ONE persistent engine over a selector skeleton
+// of every reduct at once: per clause c, nf(H) <- nf(B+) [∧ a_c] and
+// t(H) <- t(B+) [∧ b_c], with fresh selectors a_c, b_c on clauses with a
+// negative body. Setting a_c := κ ≥ 1/2 and b_c := κ = 1 (κ the constant
+// value of c's negative body under I) yields the reduct's bit database,
+// so "I is partial stable" is one <P = 2n bits; Q = selectors; Z = ∅>
+// minimality check of bits(I) ∪ sel(I). See docs/ORACLE.md.
+//
 // Inference reads "F is inferred" as "F evaluates to true (1) in every
 // partial stable model" (strong Kleene). Complexity: as DSM (paper: the
 // same rows of Tables 1 and 2; model existence stays Σ₂ᵖ-hard even
@@ -32,8 +40,8 @@ class PdsmSemantics : public Semantics {
 
   SemanticsKind kind() const override { return SemanticsKind::kPdsm; }
 
-  /// Builds the reduct's bit-level database and runs one subset-minimality
-  /// check (one SAT call).
+  /// One subset-minimality check (one SAT call) on the persistent selector
+  /// skeleton, memoized on the bits of I and its selector values.
   Result<bool> IsPartialStable(const PartialInterpretation& i);
 
   /// All partial stable models (exact-blocking enumeration over the
@@ -60,12 +68,12 @@ class PdsmSemantics : public Semantics {
 
   const MinimalStats& stats() const override { return engine_.stats(); }
 
-  /// Installs the budget on the owned engine and the options (the reduct
-  /// engines and the bit-model candidate solver inherit it).
+  /// Installs the budget on the owned stability engine (clearing its
+  /// latched interrupt) and the options (the bit-model candidate solver
+  /// inherits it).
   void SetBudget(std::shared_ptr<Budget> budget) override;
 
-  /// Attaches the query trace to the owned (bit-level) engine; reduct
-  /// engines run untraced and fold their counters into stats().
+  /// Attaches the query trace to the owned stability engine.
   void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
 
   /// Session-reuse accounting of the owned engine.
@@ -86,12 +94,16 @@ class PdsmSemantics : public Semantics {
   Status ForEachPartialStable(
       const std::function<bool(const PartialInterpretation&)>& visit);
 
-  Database BuildReductBitDb(const PartialInterpretation& i) const;
-
   Database db_;
   SemanticsOptions opts_;
   Database bit_db_;
-  MinimalEngine engine_;  ///< over bit_db_ (accounting)
+  // Selector skeleton: guarded_[j] is the index of the j-th clause with a
+  // negative body; its selectors are a_j = 2n + j and b_j = 2n + k + j
+  // (k = guarded_.size()). engine_'s initializer fills bit_db_ and
+  // guarded_, so both must be declared before it.
+  std::vector<int> guarded_;
+  MinimalEngine engine_;  ///< stability engine over the selector skeleton
+  Partition stability_pqz_;  ///< P = the 2n bits, Q = selectors, Z = ∅
 };
 
 }  // namespace dd

@@ -11,6 +11,7 @@
 // environment (scripts/check.sh soak leg does this under ASan) and must
 // still pass at every injection point.
 #include <chrono>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "gtest/gtest.h"
 #include "sat/fault.h"
 #include "sat/solver.h"
+#include "semantics/dsm.h"
+#include "semantics/pdsm.h"
 #include "semantics/semantics.h"
 #include "tests/test_util.h"
 #include "util/budget.h"
@@ -470,6 +473,65 @@ TEST(FaultSoak, IntegrityClauseFamilyNeverWrong) {
       sat::ScopedFaultPlan scoped(plan);
       CheckNeverWrong(db, kind, formula, ref, "unknown_at");
     }
+  }
+}
+
+TEST(FaultSoak, StabilityChecksRearmAfterFault) {
+  // DSM and PDSM stability checks run on one persistent selector-guarded
+  // engine per instance. A fault mid-sweep may turn verdicts into a
+  // budget-exhaustion status but must never flip one, and after
+  // SetBudget(nullptr) re-arms the engine every verdict is exact again —
+  // so no memo entry was stored from an interrupted check.
+  Database db = testing::Db(
+      "a :- not b. b :- not a. c | d :- a. e :- c, not e. :- d, b.");
+  const auto stable = testing::ModelSet(brute::StableModels(db));
+  const auto all_models = brute::AllModels(db);
+  const auto partial_stable = brute::PartialStableModels(db);
+  const std::set<PartialInterpretation> partial_set(partial_stable.begin(),
+                                                    partial_stable.end());
+  const auto all_partial = testing::AllPartialInterpretations(db.num_vars());
+
+  // Runs every check once and returns how many ended in a status;
+  // `strict` demands definite answers.
+  auto sweep = [&](DsmSemantics* dsm, PdsmSemantics* pdsm, bool strict,
+                   int64_t k) {
+    int unknowns = 0;
+    auto check = [&](const Result<bool>& got, bool expected,
+                     const char* which) {
+      if (got.ok()) {
+        EXPECT_EQ(*got, expected) << which << " k=" << k;
+        return;
+      }
+      ++unknowns;
+      EXPECT_FALSE(strict) << which << " k=" << k << ": "
+                           << got.status().ToString();
+      EXPECT_TRUE(got.status().IsBudgetExhaustion())
+          << got.status().ToString();
+    };
+    for (const Interpretation& m : all_models) {
+      check(dsm->IsStable(m), stable.count(m) > 0, "DSM");
+    }
+    for (const PartialInterpretation& i : all_partial) {
+      check(pdsm->IsPartialStable(i), partial_set.count(i) > 0, "PDSM");
+    }
+    return unknowns;
+  };
+
+  for (int64_t k = 1; k <= 6; ++k) {
+    DsmSemantics dsm(db);
+    PdsmSemantics pdsm(db);
+    {
+      sat::FaultPlan plan;
+      plan.unknown_at = k;
+      sat::ScopedFaultPlan scoped(plan);
+      // The k-th solve of the sweep faults, and the interrupt stays
+      // latched until SetBudget.
+      EXPECT_GT(sweep(&dsm, &pdsm, /*strict=*/false, k), 0) << "k=" << k;
+    }
+    sat::ScopedFaultPlan fault_free{sat::FaultPlan{}};
+    dsm.SetBudget(nullptr);
+    pdsm.SetBudget(nullptr);
+    sweep(&dsm, &pdsm, /*strict=*/true, k);
   }
 }
 

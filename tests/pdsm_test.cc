@@ -42,15 +42,8 @@ TEST(Pdsm, BitDatabaseCharacterizesThreeValuedModels) {
     PdsmSemantics pdsm(db);
     // For every 3-valued interpretation: Satisfies3(db) iff the bit
     // encoding satisfies the bit database.
-    uint64_t count = 1;
-    for (int i = 0; i < db.num_vars(); ++i) count *= 3;
-    for (uint64_t code = 0; code < count; ++code) {
-      PartialInterpretation i(db.num_vars());
-      uint64_t c = code;
-      for (Var v = 0; v < db.num_vars(); ++v) {
-        i.SetValue(v, static_cast<TruthValue>(c % 3));
-        c /= 3;
-      }
+    for (const PartialInterpretation& i :
+         testing::AllPartialInterpretations(db.num_vars())) {
       ASSERT_EQ(db.Satisfies3(i),
                 pdsm.bit_database().Satisfies(pdsm.EncodeBits(i)))
           << db.ToString();
@@ -123,30 +116,53 @@ TEST(Pdsm, TotalPartialStableModelsAreExactlyStableModels) {
 }
 
 TEST(Pdsm, IsPartialStableAgreesWithBruteForce) {
+  // Every 3^n interpretation on ONE instance, twice: the selector skeleton
+  // answers each reduct by assumptions, and the second pass is served
+  // entirely from the memo (keyed on bits and selector values).
   Rng rng(3333);
-  for (int iter = 0; iter < 25; ++iter) {
+  for (int iter = 0; iter < 30; ++iter) {
     DdbConfig cfg;
-    cfg.num_vars = 4;
-    cfg.num_clauses = 5;
+    cfg.num_vars = 4 + static_cast<int>(rng.Below(2));
+    cfg.num_clauses = 4 + static_cast<int>(rng.Below(6));
     cfg.negation_fraction = 0.4;
+    cfg.integrity_fraction = 0.15;
     cfg.seed = rng.Next();
     Database db = RandomDdb(cfg);
     PdsmSemantics pdsm(db);
     auto expected = PartialSet(brute::PartialStableModels(db));
-    uint64_t count = 1;
-    for (int i = 0; i < db.num_vars(); ++i) count *= 3;
-    for (uint64_t code = 0; code < count; ++code) {
-      PartialInterpretation i(db.num_vars());
-      uint64_t c = code;
-      for (Var v = 0; v < db.num_vars(); ++v) {
-        i.SetValue(v, static_cast<TruthValue>(c % 3));
-        c /= 3;
+    const auto all = testing::AllPartialInterpretations(db.num_vars());
+    int64_t first_pass_calls = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const PartialInterpretation& i : all) {
+        auto got = pdsm.IsPartialStable(i);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(*got, expected.count(i) > 0)
+            << "pass " << pass << "\n" << db.ToString();
       }
-      auto got = pdsm.IsPartialStable(i);
-      ASSERT_TRUE(got.ok());
-      ASSERT_EQ(*got, expected.count(i) > 0) << db.ToString();
+      if (pass == 0) first_pass_calls = pdsm.stats().sat_calls;
     }
+    EXPECT_EQ(pdsm.stats().sat_calls, first_pass_calls) << db.ToString();
+    EXPECT_LE(pdsm.session_stats().base_loads, 1);
   }
+}
+
+TEST(Pdsm, SelectorNamesNeverAliasUserAtoms) {
+  // User atoms spelled like the skeleton's selector names stay distinct
+  // atoms: selectors are fresh variables, not interned names.
+  Database db = Db(
+      "pdsm_half_sel0 :- not pdsm_one_sel0. pdsm_one_sel0 :- not "
+      "pdsm_half_sel0. dsm_sel0 | c :- pdsm_half_sel0, not c.");
+  PdsmSemantics pdsm(db);
+  auto expected = PartialSet(brute::PartialStableModels(db));
+  for (const PartialInterpretation& i :
+       testing::AllPartialInterpretations(db.num_vars())) {
+    auto got = pdsm.IsPartialStable(i);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(*got, expected.count(i) > 0);
+  }
+  auto models = pdsm.PartialModels();
+  ASSERT_TRUE(models.ok());
+  EXPECT_EQ(PartialSet(*models), expected);
 }
 
 TEST(Pdsm, InferenceRequiresTruth) {

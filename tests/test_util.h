@@ -109,6 +109,25 @@ inline std::vector<Interpretation> BruteCwaModels(const Database& db) {
   return out;
 }
 
+/// Every 3-valued interpretation over `num_vars` atoms (3^num_vars).
+inline std::vector<PartialInterpretation> AllPartialInterpretations(
+    int num_vars) {
+  uint64_t count = 1;
+  for (int i = 0; i < num_vars; ++i) count *= 3;
+  std::vector<PartialInterpretation> out;
+  out.reserve(count);
+  for (uint64_t code = 0; code < count; ++code) {
+    PartialInterpretation i(num_vars);
+    uint64_t c = code;
+    for (Var v = 0; v < num_vars; ++v) {
+      i.SetValue(v, static_cast<TruthValue>(c % 3));
+      c /= 3;
+    }
+    out.push_back(std::move(i));
+  }
+  return out;
+}
+
 /// The reference each kind's own test file checks against.
 inline BruteReference BruteForceReference(SemanticsKind kind,
                                           const Database& db) {
