@@ -151,8 +151,17 @@ Result<bool> PerfSemantics::InfersFormula(const Formula& f) {
 Result<std::optional<Interpretation>> PerfSemantics::FindCounterexample(
     const Formula& f) {
   DD_RETURN_IF_ERROR(CheckSupported());
-  // Counterexample search among the minimal models (perfect ⊆ minimal).
   std::optional<Interpretation> out;
+  if (!db_.HasNegation()) {
+    // No strict priorities, so PERF = MM: the counterexample-guided
+    // entailment loop EGCWA uses, with no minimal-model enumeration.
+    Interpretation witness;
+    bool entailed = engine_.MinimalEntails(f, all_, &witness);
+    if (engine_.interrupted()) return engine_.interrupt_status();
+    if (!entailed) out = std::move(witness);
+    return out;
+  }
+  // With negation, search the minimal models (perfect ⊆ minimal).
   Status inner = Status::OK();
   int64_t candidates = 0;
   engine_.EnumerateMinimalProjections(

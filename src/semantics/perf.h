@@ -12,7 +12,9 @@
 //
 // Complexity: "is M perfect" is one SAT call (the paper's "DB' has no
 // model" transformation); literal/formula inference Π₂ᵖ-complete; model
-// existence Σ₂ᵖ-complete for DNDBs.
+// existence Σ₂ᵖ-complete for DNDBs. Without negation, inference is the
+// owned engine's counterexample-guided minimal entailment and enumerates no
+// minimal models.
 #ifndef DD_SEMANTICS_PERF_H_
 #define DD_SEMANTICS_PERF_H_
 
@@ -49,7 +51,11 @@ class PerfSemantics : public Semantics {
   Result<bool> InfersFormula(const Formula& f) override;
   Result<bool> HasModel() override;
 
-  /// A perfect model violating f, if any.
+  /// A perfect model violating f, if any. Without negation PERF = MM and
+  /// the engine's MinimalEntails decides it; opts.max_candidates does not
+  /// apply there. With negation, minimal models are enumerated and each one
+  /// violating f is tested with IsPerfect; ResourceExhausted after
+  /// opts.max_candidates minimal models.
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 

@@ -21,6 +21,7 @@
 #include "sat/solver.h"
 #include "semantics/dsm.h"
 #include "semantics/pdsm.h"
+#include "semantics/perf.h"
 #include "semantics/semantics.h"
 #include "tests/test_util.h"
 #include "util/budget.h"
@@ -532,6 +533,86 @@ TEST(FaultSoak, StabilityChecksRearmAfterFault) {
     dsm.SetBudget(nullptr);
     pdsm.SetBudget(nullptr);
     sweep(&dsm, &pdsm, /*strict=*/true, k);
+  }
+}
+
+TEST(FaultSoak, PerfInferenceNeverWrong) {
+  // PERF inference runs the engine's entailment loop when the database has
+  // no negation and a minimal-model enumeration otherwise. A fault in
+  // either may turn a verdict into a budget-exhaustion status but must
+  // never flip it, and after SetBudget(nullptr) re-arms the engine every
+  // verdict is exact. Every formula uses only atoms of both databases.
+  const Database dbs[] = {
+      testing::Db("a | b. c | d :- a. e :- c, d. e | f :- b. d :- e."),
+      testing::Db("a | b. c :- a, not d. d | e :- b. f :- not c. g | f."),
+  };
+  const char* const formulas[] = {"a | b", "c | d | f", "~e", "b -> f",
+                                  "~a & ~f", "e | ~f"};
+  for (const Database& db : dbs) {
+    Database parsed = db;
+    std::vector<Formula> fs;
+    std::vector<bool> expected;
+    const auto perfect = brute::PerfectModels(db);
+    const auto perfect_set = testing::ModelSet(perfect);
+    for (const char* text : formulas) {
+      fs.push_back(testing::F(&parsed, text));
+      expected.push_back(brute::Infers(perfect, fs.back()));
+    }
+    // Runs every query once and returns how many ended in a status;
+    // `strict` demands definite answers.
+    auto sweep = [&](PerfSemantics* perf, bool strict, const char* label,
+                     int64_t k) {
+      int unknowns = 0;
+      for (size_t i = 0; i < fs.size(); ++i) {
+        auto inf = perf->InfersFormula(fs[i]);
+        auto ce = perf->FindCounterexample(fs[i]);
+        for (const Status& st : {inf.status(), ce.status()}) {
+          if (st.ok()) continue;
+          ++unknowns;
+          EXPECT_FALSE(strict) << label << " k=" << k << ": "
+                               << st.ToString();
+          EXPECT_TRUE(st.IsBudgetExhaustion()) << st.ToString();
+        }
+        if (inf.ok()) {
+          EXPECT_EQ(*inf, expected[i])
+              << label << " k=" << k << " flipped " << formulas[i];
+        }
+        if (ce.ok()) {
+          EXPECT_EQ(ce->has_value(), !expected[i])
+              << label << " k=" << k << " flipped " << formulas[i];
+          if (ce->has_value()) {
+            EXPECT_FALSE(fs[i]->Eval(**ce)) << formulas[i];
+            EXPECT_TRUE(perfect_set.count(**ce) > 0) << formulas[i];
+          }
+        }
+      }
+      return unknowns;
+    };
+
+    {
+      // Under the ambient plan (the environment's DD_FAULT_* when the
+      // soak leg runs; a no-op plan otherwise).
+      PerfSemantics perf(db);
+      sweep(&perf, /*strict=*/false, "env-plan", 0);
+    }
+    std::vector<sat::FaultPlan> plans;
+    for (int64_t k = 1; k <= 12; ++k) plans.push_back({k, 0});  // unknown_at
+    for (int64_t k = 1; k <= 4; ++k) plans.push_back({0, k});   // exhaust_after
+    for (const sat::FaultPlan& plan : plans) {
+      const int64_t k = plan.unknown_at + plan.exhaust_after;
+      PerfSemantics perf(db);
+      {
+        sat::ScopedFaultPlan scoped(plan);
+        // The faulty solve latches the interrupt until SetBudget, so some
+        // query must end in a status.
+        EXPECT_GT(sweep(&perf, /*strict=*/false, "faulty", k), 0)
+            << db.ToString() << "unknown_at=" << plan.unknown_at
+            << " exhaust_after=" << plan.exhaust_after;
+      }
+      sat::ScopedFaultPlan fault_free{sat::FaultPlan{}};
+      perf.SetBudget(nullptr);
+      sweep(&perf, /*strict=*/true, "re-armed", k);
+    }
   }
 }
 

@@ -13,7 +13,14 @@ namespace {
 
 class CounterexampleSuite : public ::testing::TestWithParam<SemanticsKind> {
  protected:
-  Database MakeDb(Rng* rng) const {
+  // PERF and ICWA draw `n` stratified databases and then `n` negation-free
+  // ones; every other semantics draws `n`.
+  int Draws(int n) const {
+    SemanticsKind k = GetParam();
+    return k == SemanticsKind::kPerf || k == SemanticsKind::kIcwa ? 2 * n : n;
+  }
+
+  Database MakeDb(Rng* rng, bool negation_free = false) const {
     SemanticsKind k = GetParam();
     if (k == SemanticsKind::kDdr || k == SemanticsKind::kPws) {
       DdbConfig cfg;
@@ -25,7 +32,18 @@ class CounterexampleSuite : public ::testing::TestWithParam<SemanticsKind> {
       return RandomDdb(cfg);
     }
     if (k == SemanticsKind::kPerf || k == SemanticsKind::kIcwa) {
-      return RandomStratifiedDdb(5, 6, 2, 0.4, rng->Next());
+      if (!negation_free) {
+        return RandomStratifiedDdb(5, 6, 2, 0.4, rng->Next());
+      }
+      // One stratum: PERF answers through the engine's minimal-entailment
+      // loop. PERF rejects integrity clauses; ICWA's draw keeps a few.
+      DdbConfig cfg;
+      cfg.num_vars = 5;
+      cfg.num_clauses = 6;
+      cfg.max_head = 2;
+      cfg.integrity_fraction = k == SemanticsKind::kIcwa ? 0.15 : 0.0;
+      cfg.seed = rng->Next();
+      return RandomDdb(cfg);
     }
     DdbConfig cfg;
     cfg.num_vars = 5;
@@ -40,8 +58,8 @@ class CounterexampleSuite : public ::testing::TestWithParam<SemanticsKind> {
 
 TEST_P(CounterexampleSuite, ConsistentWithInference) {
   Rng rng(61 + static_cast<uint64_t>(GetParam()));
-  for (int iter = 0; iter < 25; ++iter) {
-    Database db = MakeDb(&rng);
+  for (int iter = 0; iter < Draws(25); ++iter) {
+    Database db = MakeDb(&rng, /*negation_free=*/iter >= 25);
     auto sem = MakeSemantics(GetParam(), db);
     Formula f = testing::RandomFormula(&rng, db.num_vars(), 2);
     auto inferred = sem->InfersFormula(f);
@@ -59,8 +77,8 @@ TEST_P(CounterexampleSuite, WitnessIsAnIntendedModelViolatingF) {
     GTEST_SKIP();
   }
   Rng rng(71 + static_cast<uint64_t>(GetParam()));
-  for (int iter = 0; iter < 25; ++iter) {
-    Database db = MakeDb(&rng);
+  for (int iter = 0; iter < Draws(25); ++iter) {
+    Database db = MakeDb(&rng, /*negation_free=*/iter >= 25);
     auto sem = MakeSemantics(GetParam(), db);
     Formula f = testing::RandomFormula(&rng, db.num_vars(), 2);
     auto ce = sem->FindCounterexample(f);

@@ -75,6 +75,26 @@ TEST(Icwa, FormulaInferenceMatchesBruteForce) {
   }
 }
 
+TEST(Icwa, SingleStratumInferenceMatchesBruteForce) {
+  // Negation-free databases with integrity clauses (one stratum); the
+  // stratified draws above carry no integrity clauses.
+  Rng rng(335);
+  for (int iter = 0; iter < 60; ++iter) {
+    DdbConfig cfg;
+    cfg.num_vars = 4 + static_cast<int>(rng.Below(3));
+    cfg.num_clauses = 3 + static_cast<int>(rng.Below(8));
+    cfg.integrity_fraction = 0.15;
+    cfg.seed = rng.Next();
+    Database db = RandomDdb(cfg);
+    IcwaSemantics icwa(db);
+    Formula f = testing::RandomFormula(&rng, db.num_vars(), 3);
+    auto got = icwa.InfersFormula(f);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(*got, brute::Infers(brute::IcwaModels(db), f))
+        << db.ToString() << "\nF = " << f->ToString(db.vocabulary());
+  }
+}
+
 TEST(Icwa, IsIcwaModelAgreesWithBruteForce) {
   Rng rng(444);
   for (int iter = 0; iter < 40; ++iter) {
