@@ -43,8 +43,14 @@
 #      FaultSoak suite of budget_test, under the ASan build (docs/
 #      ROBUSTNESS.md: every semantics must answer reference-or-Unknown,
 #      never crash, never flip)
+#  12. benchmark self-check: `python3 ddbench/run.py --selfcheck` with
+#      CARGO_TARGET_DIR=build-check-ddbench runs every ddbench workload
+#      twice on a fixed seed, fails unless the work counters repeat
+#      exactly, and audits every verdict (QBF, brute force, serve
+#      answers). Engines carry memo state across the semantics of one
+#      Reasoner view, so this leg runs in --fast mode too.
 #
-# Usage: scripts/check.sh [--fast]   (--fast: Release leg only)
+# Usage: scripts/check.sh [--fast]   (--fast: skips legs 2-4 and 11)
 set -u
 cd "$(dirname "$0")/.."
 
@@ -393,6 +399,15 @@ elif [ "$FAST" -eq 1 ]; then
   echo "soak: skipped (--fast)"
 else
   echo "soak: budget_test not built under ASan; skipping"
+fi
+
+echo "===== benchmark self-check (ddbench --selfcheck) ====="
+if CARGO_TARGET_DIR=build-check-ddbench python3 ddbench/run.py --selfcheck \
+     >build-check-ddbench.log 2>&1; then
+  grep '^selfcheck' build-check-ddbench.log
+  echo "ddbench selfcheck: OK"
+else
+  echo "ddbench selfcheck: FAILED (see build-check-ddbench.log)"; FAILED=1
 fi
 
 echo

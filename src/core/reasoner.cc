@@ -1,6 +1,7 @@
 #include "core/reasoner.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "batch/batch_planner.h"
 #include "obs/stats_view.h"
@@ -103,16 +104,40 @@ Result<Reasoner> Reasoner::FromProgram(std::string_view text,
   return Reasoner(std::move(db), opts);
 }
 
+std::shared_ptr<MinimalEngine> Reasoner::ViewEngine(
+    View view, const analysis::SliceResult* slice) {
+  auto key = std::make_pair(
+      view, slice != nullptr ? slice->clause_indices : std::vector<int>());
+  auto it = views_.find(key);
+  if (it == views_.end()) {
+    SemanticsOptions o = opts_;
+    if (view != View::kFull) {
+      // A sub-database of a head-cycle-free database is head-cycle-free
+      // (its positive graph is a subgraph), and the engine re-verifies
+      // applicability on its own database anyway.
+      o.hcf_minimality = true;
+      o.hcf_certificates = certify_ ? hcf_cert_sink_.get() : nullptr;
+    }
+    auto engine = std::make_shared<MinimalEngine>(
+        slice != nullptr ? slicer()->MakeSubDatabase(*slice) : db_,
+        o.minimal_options());
+    engine->SetTrace(trace_);
+    it = views_.emplace(std::move(key), std::move(engine)).first;
+  }
+  return it->second;
+}
+
 Semantics* Reasoner::Get(SemanticsKind kind) {
   auto it = engines_.find(kind);
   if (it == engines_.end()) {
+    std::shared_ptr<MinimalEngine> view = ViewEngine(View::kFull);
     std::unique_ptr<Semantics> engine;
     if (partition_.has_value() && kind == SemanticsKind::kCcwa) {
-      engine = std::make_unique<CcwaSemantics>(db_, *partition_, opts_);
+      engine = std::make_unique<CcwaSemantics>(db_, *partition_, opts_, view);
     } else if (partition_.has_value() && kind == SemanticsKind::kEcwa) {
-      engine = std::make_unique<EcwaSemantics>(db_, *partition_, opts_);
+      engine = std::make_unique<EcwaSemantics>(db_, *partition_, opts_, view);
     } else {
-      engine = MakeSemantics(kind, db_, opts_);
+      engine = MakeSemantics(kind, db_, opts_, view);
     }
     engine->SetTrace(trace_);
     it = engines_.emplace(kind, std::move(engine)).first;
@@ -128,7 +153,8 @@ Semantics* Reasoner::GetHcf(SemanticsKind kind) {
     o.hcf_certificates = certify_ ? hcf_cert_sink_.get() : nullptr;
     // kHcfUnfounded is never selected under a custom CCWA/ECWA partition,
     // so the parameterless factory covers every kind that reaches here.
-    std::unique_ptr<Semantics> engine = MakeSemantics(kind, db_, o);
+    std::unique_ptr<Semantics> engine =
+        MakeSemantics(kind, db_, o, ViewEngine(View::kHcf));
     engine->SetTrace(trace_);
     it = hcf_engines_.emplace(kind, std::move(engine)).first;
   }
@@ -141,13 +167,11 @@ Semantics* Reasoner::GetSliced(SemanticsKind kind,
   auto it = slice_engines_.find(key);
   if (it == slice_engines_.end()) {
     SemanticsOptions o = opts_;
-    // Compose the speedups: a sub-database of a head-cycle-free database
-    // is head-cycle-free (its positive graph is a subgraph), and the
-    // engine re-verifies applicability on the slice itself anyway.
-    o.hcf_minimality = true;
+    o.hcf_minimality = true;  // as the slice view itself (ViewEngine)
     o.hcf_certificates = certify_ ? hcf_cert_sink_.get() : nullptr;
-    Database sub = slicer()->MakeSubDatabase(s);
-    std::unique_ptr<Semantics> engine = MakeSemantics(kind, sub, o);
+    std::shared_ptr<MinimalEngine> view = ViewEngine(View::kSlice, &s);
+    std::unique_ptr<Semantics> engine =
+        MakeSemantics(kind, view->db(), o, view);
     engine->SetTrace(trace_);
     it = slice_engines_.emplace(std::move(key), std::move(engine)).first;
   }
@@ -156,6 +180,7 @@ Semantics* Reasoner::GetSliced(SemanticsKind kind,
 
 void Reasoner::set_trace(obs::TraceContext* trace) {
   trace_ = trace;
+  for (auto& [key, view] : views_) view->SetTrace(trace);
   for (auto& [kind, engine] : engines_) engine->SetTrace(trace);
   for (auto& [kind, engine] : hcf_engines_) engine->SetTrace(trace);
   for (auto& [key, engine] : slice_engines_) engine->SetTrace(trace);
@@ -219,6 +244,7 @@ void Reasoner::InvalidateCaches() {
   engines_.clear();
   hcf_engines_.clear();
   slice_engines_.clear();
+  views_.clear();
   props_.reset();
   fast_.reset();
   slicer_.reset();
@@ -963,32 +989,35 @@ Result<batch::BatchAnswer> Reasoner::AnswerBatchImpl(
   return out;
 }
 
-MinimalStats Reasoner::TotalStats() const {
-  MinimalStats out;
-  for (const auto& [kind, engine] : engines_) {
-    out.Add(engine->stats());
-  }
+void Reasoner::ForEachEngine(
+    const std::function<void(const MinimalEngine&)>& fn) const {
+  // Views are shared by the semantics that borrow them; visit each engine
+  // once. Views come first: they outlive the semantics erased by
+  // SetPartition, so their counters stay monotonic.
+  std::unordered_set<const MinimalEngine*> seen;
+  auto visit = [&](MinimalEngine* e) {
+    if (seen.insert(e).second) fn(*e);
+  };
+  for (const auto& [key, view] : views_) visit(view.get());
+  for (const auto& [kind, engine] : engines_) engine->ForEachEngine(visit);
   for (const auto& [kind, engine] : hcf_engines_) {
-    out.Add(engine->stats());
+    engine->ForEachEngine(visit);
   }
   for (const auto& [key, engine] : slice_engines_) {
-    out.Add(engine->stats());
+    engine->ForEachEngine(visit);
   }
+}
+
+MinimalStats Reasoner::TotalStats() const {
+  MinimalStats out;
+  ForEachEngine([&](const MinimalEngine& e) { out.Add(e.stats()); });
   out.Add(batch_engine_stats_);
   return out;
 }
 
 oracle::SessionStats Reasoner::TotalSessionStats() const {
   oracle::SessionStats out;
-  for (const auto& [kind, engine] : engines_) {
-    out.Add(engine->session_stats());
-  }
-  for (const auto& [kind, engine] : hcf_engines_) {
-    out.Add(engine->session_stats());
-  }
-  for (const auto& [key, engine] : slice_engines_) {
-    out.Add(engine->session_stats());
-  }
+  ForEachEngine([&](const MinimalEngine& e) { out.Add(e.session_stats()); });
   out.Add(batch_engine_session_stats_);
   return out;
 }

@@ -10,6 +10,7 @@
 #ifndef DD_CORE_REASONER_H_
 #define DD_CORE_REASONER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -196,11 +197,12 @@ class Reasoner {
     return partition_.has_value() ? &*partition_ : nullptr;
   }
 
-  /// Aggregated oracle counters over all engines used so far.
+  /// Aggregated oracle counters over all engines used so far, each engine
+  /// counted once however many semantics borrow it.
   MinimalStats TotalStats() const;
 
   /// Aggregated session-reuse counters over all engines used so far (all
-  /// zero until an oracle call runs).
+  /// zero until an oracle call runs), each engine counted once.
   oracle::SessionStats TotalSessionStats() const;
 
   /// Attaches (nullptr detaches) a trace to this reasoner and every engine
@@ -258,6 +260,21 @@ class Reasoner {
     Semantics* engine = nullptr;
   };
 
+  /// The database views: the full database, its HCF-flagged copy
+  /// (EnginePath::kHcfUnfounded) and each slice, keyed by its clause-index
+  /// set. Each view has ONE MinimalEngine that every semantics on the view
+  /// borrows, so its session, minimality memo and entailment memo serve
+  /// them all (docs/ORACLE.md §9).
+  enum class View { kFull, kHcf, kSlice };
+  /// The view's engine, created on first use; `slice` is required for
+  /// kSlice and ignored otherwise.
+  std::shared_ptr<MinimalEngine> ViewEngine(
+      View view, const analysis::SliceResult* slice = nullptr);
+  /// Visits every engine once: the views, then private engines of the
+  /// cached semantics (stability engines, ICWA's DB+ engine).
+  void ForEachEngine(
+      const std::function<void(const MinimalEngine&)>& fn) const;
+
   /// Drops cached engines and analysis after the vocabulary grew.
   void InvalidateCaches();
   /// The fast-path engine for the current database (never null).
@@ -294,6 +311,8 @@ class Reasoner {
   Database db_;
   SemanticsOptions opts_;
   obs::TraceContext* trace_ = nullptr;
+  std::map<std::pair<View, std::vector<int>>, std::shared_ptr<MinimalEngine>>
+      views_;
   std::map<SemanticsKind, std::unique_ptr<Semantics>> engines_;
   std::map<SemanticsKind, std::unique_ptr<Semantics>> hcf_engines_;
   std::map<std::pair<SemanticsKind, std::vector<int>>,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "minimal/hcf.h"
@@ -284,31 +285,32 @@ Interpretation MinimalEngine::Minimize(const Interpretation& m,
     // it is a <P;Z>-minimal model below every Z-completion of the key.
     return *c;
   }
+  // A projection already known minimal is its own minimization.
+  if (cache_.LookupVerdict(pqz, masked) == std::optional<bool>(true)) return m;
   oracle::SatSession* s = session();
   oracle::SatSession::Context ctx(s);
   // Incremental descent: Q-values and absent P-atoms are assumption pins
-  // (extended as atoms leave the candidate); each round's "strictly
-  // smaller" clause is guarded and enabled through a fresh selector.
+  // (extended as atoms leave the candidate). Each round's "strictly
+  // smaller" clause lists the P-atoms still true, and under the pins those
+  // sets shrink strictly from round to round, so the newest clause implies
+  // every earlier one: all rounds share the context's own activation.
   std::vector<Lit> pins;
   for (Var v = 0; v < db_.num_vars(); ++v) {
     if (pqz.q.Contains(v)) pins.push_back(Lit::Make(v, m.Contains(v)));
     if (pqz.p.Contains(v) && !m.Contains(v)) pins.push_back(Lit::Neg(v));
   }
   Interpretation cur = m;
-  std::vector<Lit> assumptions;
   for (;;) {
     std::vector<Var> true_p;
     for (Var v : cur.TrueAtoms()) {
       if (pqz.p.Contains(v)) true_p.push_back(v);
     }
     if (true_p.empty()) break;  // nothing left to remove
-    Var sel = s->AllocVar();
-    std::vector<Lit> clause{Lit::Neg(sel)};
+    std::vector<Lit> clause;
+    clause.reserve(true_p.size());
     for (Var v : true_p) clause.push_back(Lit::Neg(v));
     ctx.AddClause(std::move(clause));
-    assumptions = pins;
-    assumptions.push_back(Lit::Pos(sel));
-    SolveResult r = ctx.Solve(assumptions);
+    SolveResult r = ctx.Solve(pins);
     ++stats_.sat_calls;
     if (r == SolveResult::kUnknown) {
       // Interrupted mid-descent: cur may NOT be minimal. Return it as a
@@ -517,6 +519,26 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
                                    Interpretation* counterexample) {
   if (interrupted_) return true;
   OpScope op(this, "minimal.entails");
+  // The verdict depends only on the database, the partition and F, so
+  // every semantics borrowing this engine shares one memo entry.
+  const std::string key = oracle::MinimalityCache::FormulaKey(f);
+  std::optional<oracle::MinimalityCache::Entailment> e =
+      cache_.LookupEntailment(pqz, key);
+  if (!e.has_value()) {
+    e.emplace();
+    e->entailed = SearchMinimalCounterexample(f, pqz, &e->counterexample);
+    // An interrupted search left a placeholder: memoize nothing.
+    if (interrupted_) return true;
+    cache_.StoreEntailment(pqz, key, *e);
+  }
+  if (!e->entailed && counterexample != nullptr) {
+    *counterexample = e->counterexample;
+  }
+  return e->entailed;
+}
+
+bool MinimalEngine::SearchMinimalCounterexample(
+    const Formula& f, const Partition& pqz, Interpretation* counterexample) {
   // Counterexample search: a <P;Z>-minimal model of DB violating F. The
   // Tseitin encoding, the ¬F unit and the region blocks all live in one
   // guarded context and vanish together when the query ends.
@@ -539,14 +561,15 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
     }
     if (r != SolveResult::kSat) return true;  // no candidate remains
     Interpretation m = s->Model(db_.num_vars());
-    bool minimal = IsMinimal(m, pqz);
-    if (interrupted_) return true;
-    if (minimal) {
-      if (counterexample != nullptr) *counterexample = m;
-      return false;  // m is a minimal model with ~F
-    }
+    // One descent doubles as the minimality check: m is minimal iff its
+    // (P,Q)-projection did not move.
     Interpretation mm = Minimize(m, pqz);
     if (interrupted_) return true;
+    if (oracle::MinimalityCache::MaskPQ(mm, pqz) ==
+        oracle::MinimalityCache::MaskPQ(m, pqz)) {
+      *counterexample = m;
+      return false;  // m is a minimal model with ~F
+    }
     // Does any model sharing mm's minimal projection violate F? Such a
     // model is itself minimal (minimality depends only on the projection).
     // The probe reuses this very context: fixing the (P,Q)-projection to
@@ -563,7 +586,7 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
       return true;
     }
     if (pr == SolveResult::kSat) {
-      if (counterexample != nullptr) *counterexample = s->Model(db_.num_vars());
+      *counterexample = s->Model(db_.num_vars());
       return false;
     }
     // No minimal counterexample in this region: exclude the region.
@@ -575,48 +598,12 @@ bool MinimalEngine::MinimalEntails(const Formula& f, const Partition& pqz,
 
 bool MinimalEngine::ExistsMinimalModelWith(Lit lit, const Partition& pqz,
                                            Interpretation* witness) {
-  if (interrupted_) return false;
-  OpScope op(this, "minimal.exists_minimal_with");
-  oracle::SatSession* s = session();
-  oracle::SatSession::Context ctx(s);
-  ctx.AddUnit(lit);
-  for (;;) {
-    ++stats_.cegar_iterations;
-    SolveResult r = ctx.Solve();
-    ++stats_.sat_calls;
-    if (r == SolveResult::kUnknown) {
-      MarkInterrupted();
-      return false;  // placeholder; caller must check interrupted()
-    }
-    if (r != SolveResult::kSat) return false;
-    Interpretation m = s->Model(db_.num_vars());
-    bool minimal = IsMinimal(m, pqz);
-    if (interrupted_) return false;
-    if (minimal) {
-      if (witness != nullptr) *witness = m;
-      return true;
-    }
-    Interpretation mm = Minimize(m, pqz);
-    if (interrupted_) return false;
-    // Some model with mm's projection satisfying lit would be minimal; the
-    // probe reuses this context (region blocks are vacuous under the
-    // projection pins, see MinimalEntails).
-    SolveResult pr = ctx.Solve(ProjectionAssumptions(mm, pqz));
-    ++stats_.sat_calls;
-    if (pr == SolveResult::kUnknown) {
-      // Excluding the region without the probe's verdict could hide a real
-      // witness and turn "Unknown" into a wrong "no".
-      MarkInterrupted();
-      return false;
-    }
-    if (pr == SolveResult::kSat) {
-      if (witness != nullptr) *witness = s->Model(db_.num_vars());
-      return true;
-    }
-    std::vector<Lit> block = RegionBlockClause(mm, pqz);
-    if (block.empty()) return false;
-    ctx.AddClause(std::move(block));
-  }
+  // A minimal model with `lit` is a minimal counterexample to ¬lit; the
+  // literal Tseitin-encodes to itself, so the oracle calls are those of a
+  // dedicated search.
+  const bool entailed =
+      MinimalEntails(FormulaNode::MakeLit(~lit), pqz, witness);
+  return !interrupted_ && !entailed;
 }
 
 Interpretation MinimalEngine::FreeAtoms(const Partition& pqz) {

@@ -244,13 +244,16 @@ class MinimalEngine {
   /// Decides MM(DB;P;Z) |= F: is the formula true in every <P;Z>-minimal
   /// model? (Π₂ᵖ; counterexample-guided.) Vacuously true if DB has no model.
   /// On a negative answer, `counterexample` (if non-null) receives a
-  /// <P;Z>-minimal model violating F.
+  /// <P;Z>-minimal model violating F. Verdict and counterexample are
+  /// memoized per partition and formula (never from an interrupted call),
+  /// so a repeated question costs no oracle call.
   bool MinimalEntails(const Formula& f, const Partition& pqz,
                       Interpretation* counterexample = nullptr);
 
   /// Decides whether some <P;Z>-minimal model satisfies `lit`
-  /// (the Σ₂ᵖ building block of GCWA/CCWA: "is atom x free?").
-  /// On success, `*witness` (if non-null) receives such a minimal model.
+  /// (the Σ₂ᵖ building block of GCWA/CCWA: "is atom x free?"), as
+  /// !MinimalEntails(¬lit). On success, `*witness` (if non-null) receives
+  /// such a minimal model.
   bool ExistsMinimalModelWith(Lit lit, const Partition& pqz,
                               Interpretation* witness = nullptr);
 
@@ -313,6 +316,11 @@ class MinimalEngine {
     MinimalStats before_;
     oracle::SessionStats sess_before_;
   };
+
+  /// MinimalEntails' uncached CEGAR loop: false (with `*counterexample`
+  /// set) iff some <P;Z>-minimal model violates F.
+  bool SearchMinimalCounterexample(const Formula& f, const Partition& pqz,
+                                   Interpretation* counterexample);
 
   /// Latches the interrupt flag and derives interrupt_status_ from the
   /// budget (or a generic ResourceExhausted for injected faults).

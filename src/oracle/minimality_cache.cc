@@ -1,5 +1,8 @@
 #include "oracle/minimality_cache.h"
 
+#include <string>
+#include <utility>
+
 namespace dd {
 namespace oracle {
 
@@ -26,7 +29,7 @@ size_t MinimalityCache::ShardIndex(const Partition& pqz) {
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (SamePartition(shards_[i].pqz, pqz)) return i;
   }
-  shards_.push_back(Shard{pqz, {}, {}});
+  shards_.push_back(Shard{pqz, {}, {}, {}});
   return shards_.size() - 1;
 }
 
@@ -34,8 +37,18 @@ void MinimalityCache::EvictToCapacity() {
   while (cap_ > 0 && size_ > cap_ && !fifo_.empty()) {
     const Entry& e = fifo_.front();
     Shard& s = shards_[e.shard];
-    size_t erased =
-        e.is_verdict ? s.verdicts.erase(e.key) : s.minimized.erase(e.key);
+    size_t erased = 0;
+    switch (e.map) {
+      case Map::kVerdict:
+        erased = s.verdicts.erase(e.key);
+        break;
+      case Map::kMinimized:
+        erased = s.minimized.erase(e.key);
+        break;
+      case Map::kEntailment:
+        erased = s.entailments.erase(e.fkey);
+        break;
+    }
     fifo_.pop_front();
     // Every ledger entry corresponds to a live map entry (maps only shrink
     // here or in Clear, which empties the ledger too).
@@ -66,7 +79,7 @@ void MinimalityCache::StoreVerdict(const Partition& pqz,
   (void)it;
   if (inserted) {
     ++size_;
-    fifo_.push_back(Entry{si, true, masked});
+    fifo_.push_back(Entry{si, Map::kVerdict, masked, {}});
     EvictToCapacity();
   }
 }
@@ -92,7 +105,75 @@ void MinimalityCache::StoreMinimized(const Partition& pqz,
   (void)it;
   if (inserted) {
     ++size_;
-    fifo_.push_back(Entry{si, false, masked});
+    fifo_.push_back(Entry{si, Map::kMinimized, masked, {}});
+    EvictToCapacity();
+  }
+}
+
+namespace {
+
+void AppendFormulaKey(const FormulaNode& f, std::string* out) {
+  switch (f.kind()) {
+    case FormulaKind::kConst:
+      out->push_back(f.const_value() ? 'T' : 'F');
+      return;
+    case FormulaKind::kAtom:
+      out->push_back('a');
+      out->append(std::to_string(f.atom()));
+      out->push_back('.');
+      return;
+    case FormulaKind::kNot:
+      out->push_back('~');
+      break;
+    case FormulaKind::kAnd:
+      out->push_back('&');
+      break;
+    case FormulaKind::kOr:
+      out->push_back('|');
+      break;
+    case FormulaKind::kImplies:
+      out->push_back('>');
+      break;
+    case FormulaKind::kIff:
+      out->push_back('=');
+      break;
+  }
+  // Arity first, so n-ary connectives parse back unambiguously.
+  out->append(std::to_string(f.children().size()));
+  out->push_back('(');
+  for (const Formula& c : f.children()) AppendFormulaKey(*c, out);
+  out->push_back(')');
+}
+
+}  // namespace
+
+std::string MinimalityCache::FormulaKey(const Formula& f) {
+  std::string out;
+  AppendFormulaKey(*f, &out);
+  return out;
+}
+
+std::optional<MinimalityCache::Entailment> MinimalityCache::LookupEntailment(
+    const Partition& pqz, const std::string& fkey) {
+  Shard& s = shards_[ShardIndex(pqz)];
+  auto it = s.entailments.find(fkey);
+  if (it == s.entailments.end()) {
+    ++misses_;
+    return std::nullopt;
+  }
+  ++hits_;
+  return it->second;
+}
+
+void MinimalityCache::StoreEntailment(const Partition& pqz,
+                                      const std::string& fkey, Entailment e) {
+  size_t si = ShardIndex(pqz);
+  auto [it, inserted] =
+      shards_[si].entailments.insert_or_assign(fkey, std::move(e));
+  (void)it;
+  if (inserted) {
+    ++size_;
+    fifo_.push_back(Entry{si, Map::kEntailment, {}, fkey});
     EvictToCapacity();
   }
 }

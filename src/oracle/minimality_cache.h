@@ -12,8 +12,14 @@
 // <P;Z>-minimal model below every M sharing the masked key. See
 // docs/ORACLE.md for the full soundness argument.
 //
+// MinimalEntails() verdicts are memoized too, keyed by the partition and
+// an exact serialization of the formula (FormulaKey): the verdict and the
+// counterexample depend on nothing else, so every semantics that borrows
+// the engine answers a repeated question from here.
+//
 // Entries are grouped into per-partition shards compared by full bitset
-// equality — never by hash — so distinct partitions can never alias.
+// equality, and formula keys are compared as whole strings — never by
+// hash alone — so distinct partitions or formulas can never alias.
 //
 // Capacity: SetCapacity bounds the total entry count across all shards
 // (long-lived batch servers answer unbounded query streams against one
@@ -27,16 +33,19 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "logic/formula.h"
 #include "logic/interpretation.h"
 #include "minimal/pqz.h"
 
 namespace dd {
 namespace oracle {
 
-/// Per-engine memo of minimal-model verdicts and certificates.
+/// Per-engine memo of minimal-model verdicts, certificates and
+/// entailment verdicts.
 class MinimalityCache {
  public:
   /// M ∩ (P ∪ Q): the canonical cache key for `m` under `pqz`.
@@ -55,6 +64,21 @@ class MinimalityCache {
   void StoreMinimized(const Partition& pqz, const Interpretation& masked,
                       const Interpretation& minimal_model);
 
+  /// An unambiguous serialization of `f` (connectives, atom ids, constants
+  /// in prefix order): equal keys <=> structurally equal formulas.
+  static std::string FormulaKey(const Formula& f);
+
+  /// A memoized MinimalEntails() outcome: the verdict and, when the
+  /// formula is not entailed, the minimal counterexample that was found.
+  struct Entailment {
+    bool entailed = true;
+    Interpretation counterexample;
+  };
+  std::optional<Entailment> LookupEntailment(const Partition& pqz,
+                                             const std::string& fkey);
+  void StoreEntailment(const Partition& pqz, const std::string& fkey,
+                       Entailment e);
+
   /// Bounds the total entry count across all shards; <= 0 means unbounded.
   /// Shrinking below the current size evicts (FIFO) on the next store.
   void SetCapacity(int64_t cap) { cap_ = cap; }
@@ -72,13 +96,18 @@ class MinimalityCache {
     Partition pqz;
     std::unordered_map<Interpretation, bool> verdicts;
     std::unordered_map<Interpretation, Interpretation> minimized;
+    std::unordered_map<std::string, Entailment> entailments;
   };
 
-  /// FIFO ledger entry: which shard, which map, which key.
+  enum class Map { kVerdict, kMinimized, kEntailment };
+
+  /// FIFO ledger entry: which shard, which map, which key (`fkey` for
+  /// entailments, `key` otherwise).
   struct Entry {
     size_t shard;
-    bool is_verdict;
+    Map map;
     Interpretation key;
+    std::string fkey;
   };
 
   /// Finds (or creates) the shard for `pqz` by full bitset equality; the

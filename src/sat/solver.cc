@@ -44,6 +44,7 @@ void Solver::EnsureVars(int n) {
     polarity_.push_back(default_polarity_);
     activity_.push_back(0.0);
     heap_pos_.push_back(-1);
+    seen_.push_back(0);
     watches_.emplace_back();
     watches_.emplace_back();
     HeapInsert(num_vars() - 1);
@@ -60,7 +61,9 @@ void Solver::AddClause(const Lit* lits, size_t n) {
   // Copy into the reusable scratch buffer: bulk load paths (session base
   // loads, guarded-context clauses) then pay no per-clause allocation.
   add_buf_.assign(lits, lits + n);
-  for (Lit l : add_buf_) EnsureVars(l.var() + 1);
+  Var max_var = -1;
+  for (Lit l : add_buf_) max_var = std::max(max_var, l.var());
+  if (max_var >= 0) EnsureVars(max_var + 1);
 
   // Simplify against the level-0 assignment; drop tautologies/duplicates.
   std::sort(add_buf_.begin(), add_buf_.end());
@@ -401,8 +404,12 @@ SolveResult Solver::Solve(const std::vector<Lit>& assumptions) {
     return SolveResult::kUnknown;
   }
   if (!ok_) return SolveResult::kUnsat;
-  for (Lit a : assumptions) EnsureVars(a.var() + 1);
-  seen_.assign(static_cast<size_t>(num_vars()), 0);
+  // One growth step for the largest assumption variable. seen_ is sized
+  // by EnsureVars and left all-zero by Analyze/AnalyzeFinal/LitRedundant,
+  // so a call costs nothing proportional to the variable count.
+  Var max_var = -1;
+  for (Lit a : assumptions) max_var = std::max(max_var, a.var());
+  if (max_var >= 0) EnsureVars(max_var + 1);
 
   CancelUntil(0);
   if (Propagate() != -1) {

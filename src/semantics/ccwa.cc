@@ -5,8 +5,9 @@
 namespace dd {
 
 CcwaSemantics::CcwaSemantics(const Database& db, Partition pqz,
-                             const SemanticsOptions& opts)
-    : ClosedWorldSemantics(db, opts), pqz_(std::move(pqz)) {
+                             const SemanticsOptions& opts,
+                             std::shared_ptr<MinimalEngine> view)
+    : ClosedWorldSemantics(db, opts, std::move(view)), pqz_(std::move(pqz)) {
   DD_CHECK(pqz_.Validate().ok());
   DD_CHECK(pqz_.num_vars() == db.num_vars());
 }
@@ -22,9 +23,10 @@ Result<bool> CcwaSemantics::HasModel() {
 
 Result<bool> CcwaSemantics::InfersLiteral(Lit l) {
   if (l.negative() && pqz_.p.Contains(l.var())) {
-    bool exists = engine()->ExistsMinimalModelWith(~l, pqz_);
+    // CCWA |= ¬x (x ∈ P) iff MM(DB;P;Z) |= ¬x.
+    bool entailed = engine()->MinimalEntails(FormulaNode::MakeLit(l), pqz_);
     if (engine()->interrupted()) return engine()->interrupt_status();
-    return !exists;
+    return entailed;
   }
   return InfersFormula(FormulaNode::MakeLit(l));
 }

@@ -19,7 +19,8 @@ namespace dd {
 class CcwaSemantics : public ClosedWorldSemantics {
  public:
   CcwaSemantics(const Database& db, Partition pqz,
-                const SemanticsOptions& opts = {});
+                const SemanticsOptions& opts = {},
+                std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kCcwa; }
 

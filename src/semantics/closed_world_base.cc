@@ -8,13 +8,9 @@
 namespace dd {
 
 ClosedWorldSemantics::ClosedWorldSemantics(const Database& db,
-                                           const SemanticsOptions& opts)
-    : db_(db), opts_(opts), engine_(db, opts.minimal_options()) {}
-
-void ClosedWorldSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
+                                           const SemanticsOptions& opts,
+                                           std::shared_ptr<MinimalEngine> view)
+    : Semantics(db, opts, std::move(view)) {}
 
 Result<Interpretation> ClosedWorldSemantics::NegatedAtoms() {
   if (!negs_.has_value()) {
@@ -28,7 +24,7 @@ Result<bool> ClosedWorldSemantics::InfersFormula(const Formula& f) {
   DD_ASSIGN_OR_RETURN(Interpretation negs, NegatedAtoms());
   // One oracle call on DB ∪ N ∪ Tseitin(¬F): mode-transparently either a
   // guarded context on the engine's session or a dedicated solver.
-  MinimalEngine::Query q(&engine_);
+  MinimalEngine::Query q(engine());
   for (Var v : negs.TrueAtoms()) q.AddUnit(Lit::Neg(v));
   Var next = q.NextVar();
   std::vector<std::vector<Lit>> fcnf;
@@ -37,9 +33,9 @@ Result<bool> ClosedWorldSemantics::InfersFormula(const Formula& f) {
   for (auto& cl : fcnf) q.AddClause(std::move(cl));
   q.AddUnit(~fl);
   sat::SolveResult r = q.Solve();
-  if (engine_.interrupted()) {
+  if (engine_->interrupted()) {
     // kUnknown must not be read as UNSAT ("inferred"): degrade to Status.
-    return engine_.interrupt_status();
+    return engine_->interrupt_status();
   }
   return r == sat::SolveResult::kUnsat;
 }
@@ -47,7 +43,7 @@ Result<bool> ClosedWorldSemantics::InfersFormula(const Formula& f) {
 Result<std::optional<Interpretation>> ClosedWorldSemantics::FindCounterexample(
     const Formula& f) {
   DD_ASSIGN_OR_RETURN(Interpretation negs, NegatedAtoms());
-  MinimalEngine::Query q(&engine_);
+  MinimalEngine::Query q(engine());
   for (Var v : negs.TrueAtoms()) q.AddUnit(Lit::Neg(v));
   Var next = q.NextVar();
   std::vector<std::vector<Lit>> fcnf;
@@ -56,7 +52,7 @@ Result<std::optional<Interpretation>> ClosedWorldSemantics::FindCounterexample(
   for (auto& cl : fcnf) q.AddClause(std::move(cl));
   q.AddUnit(~fl);
   sat::SolveResult r = q.Solve();
-  if (engine_.interrupted()) return engine_.interrupt_status();
+  if (engine_->interrupted()) return engine_->interrupt_status();
   if (r != sat::SolveResult::kSat) {
     return std::optional<Interpretation>();
   }
@@ -65,10 +61,10 @@ Result<std::optional<Interpretation>> ClosedWorldSemantics::FindCounterexample(
 
 Result<bool> ClosedWorldSemantics::HasModel() {
   DD_ASSIGN_OR_RETURN(Interpretation negs, NegatedAtoms());
-  MinimalEngine::Query q(&engine_);
+  MinimalEngine::Query q(engine());
   for (Var v : negs.TrueAtoms()) q.AddUnit(Lit::Neg(v));
   sat::SolveResult r = q.Solve();
-  if (engine_.interrupted()) return engine_.interrupt_status();
+  if (engine_->interrupted()) return engine_->interrupt_status();
   return r == sat::SolveResult::kSat;
 }
 
@@ -76,17 +72,17 @@ Result<std::vector<Interpretation>> ClosedWorldSemantics::Models(
     int64_t cap) {
   if (cap < 0) cap = opts_.max_models;
   DD_ASSIGN_OR_RETURN(Interpretation negs, NegatedAtoms());
-  MinimalEngine::Query q(&engine_);
+  MinimalEngine::Query q(engine());
   for (Var v : negs.TrueAtoms()) q.AddUnit(Lit::Neg(v));
 
   std::vector<Interpretation> out;
   for (;;) {
     sat::SolveResult r = q.Solve();
-    if (engine_.interrupted()) {
+    if (engine_->interrupted()) {
       // Anytime payload: everything collected so far IS a model of DB ∪ N;
       // the enumeration is merely truncated.
       partial_models_ = std::move(out);
-      return engine_.interrupt_status();
+      return engine_->interrupt_status();
     }
     if (r != sat::SolveResult::kSat) break;
     Interpretation m = q.Model(db_.num_vars());

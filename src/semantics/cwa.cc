@@ -4,8 +4,10 @@
 
 namespace dd {
 
-CwaSemantics::CwaSemantics(const Database& db, const SemanticsOptions& opts)
-    : ClosedWorldSemantics(db, opts) {}
+CwaSemantics::CwaSemantics(const Database& db,
+                           const SemanticsOptions& opts,
+                           std::shared_ptr<MinimalEngine> view)
+    : ClosedWorldSemantics(db, opts, std::move(view)) {}
 
 Result<Interpretation> CwaSemantics::ComputeNegatedAtoms() {
   // ¬x joins CWA(DB) iff DB |≠ x, i.e. DB ∧ ¬x is satisfiable (or DB

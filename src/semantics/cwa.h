@@ -17,7 +17,9 @@ namespace dd {
 
 class CwaSemantics : public ClosedWorldSemantics {
  public:
-  explicit CwaSemantics(const Database& db, const SemanticsOptions& opts = {});
+  explicit CwaSemantics(const Database& db,
+                        const SemanticsOptions& opts = {},
+                        std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kCwa; }
 

@@ -5,8 +5,10 @@
 
 namespace dd {
 
-DdrSemantics::DdrSemantics(const Database& db, const SemanticsOptions& opts)
-    : ClosedWorldSemantics(db, opts),
+DdrSemantics::DdrSemantics(const Database& db,
+                           const SemanticsOptions& opts,
+                           std::shared_ptr<MinimalEngine> view)
+    : ClosedWorldSemantics(db, opts, std::move(view)),
       deductive_(!db.HasNegation()),
       positive_(deductive_ && !db.HasIntegrityClauses()) {}
 

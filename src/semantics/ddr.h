@@ -23,7 +23,9 @@ namespace dd {
 class DdrSemantics : public ClosedWorldSemantics {
  public:
   /// Fails (in the first operation) when the database contains negation.
-  explicit DdrSemantics(const Database& db, const SemanticsOptions& opts = {});
+  explicit DdrSemantics(const Database& db,
+                        const SemanticsOptions& opts = {},
+                        std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kDdr; }
 

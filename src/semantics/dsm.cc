@@ -7,28 +7,16 @@
 
 namespace dd {
 
-DsmSemantics::DsmSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      engine_(db, opts.minimal_options()),
+DsmSemantics::DsmSemantics(const Database& db, const SemanticsOptions& opts,
+                           std::shared_ptr<MinimalEngine> view)
+    : Semantics(db, opts, std::move(view)),
       all_(Partition::MinimizeAll(db.num_vars())),
       has_negation_(db.HasNegation()) {}
 
-void DsmSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  if (stability_) stability_->SetBudget(budget);
-  engine_.SetBudget(std::move(budget));
-}
-
-void DsmSemantics::SetTrace(obs::TraceContext* trace) {
-  engine_.SetTrace(trace);
-  if (stability_) stability_->SetTrace(trace);
-}
-
-oracle::SessionStats DsmSemantics::session_stats() const {
-  oracle::SessionStats out = engine_.session_stats();
-  if (stability_) out.Add(stability_->session_stats());
-  return out;
+void DsmSemantics::ForEachEngine(
+    const std::function<void(MinimalEngine*)>& fn) const {
+  fn(engine_.get());
+  if (stability_) fn(stability_.get());
 }
 
 MinimalEngine* DsmSemantics::Stability() {
@@ -55,10 +43,10 @@ MinimalEngine* DsmSemantics::Stability() {
     stability_pqz_.p.Erase(v);
     stability_pqz_.q.Insert(v);
   }
-  // opts_ carries the current budget; the trace follows the owned engine.
+  // opts_ carries the current budget; the trace follows the main engine.
   stability_ =
       std::make_unique<MinimalEngine>(skeleton, opts_.minimal_options());
-  stability_->SetTrace(engine_.trace());
+  stability_->SetTrace(engine_->trace());
   return stability_.get();
 }
 
@@ -66,8 +54,8 @@ Result<bool> DsmSemantics::IsStable(const Interpretation& m) {
   if (!has_negation_) {
     // DB^M = DB: stability is plain minimality (a memo hit for candidates
     // ForEachStable has just minimized).
-    bool minimal = engine_.IsMinimal(m, all_);
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    bool minimal = engine_->IsMinimal(m, all_);
+    if (engine_->interrupted()) return engine_->interrupt_status();
     return minimal;
   }
   if (!db_.Satisfies(m)) return false;
@@ -85,7 +73,7 @@ Result<bool> DsmSemantics::IsStable(const Interpretation& m) {
     }
   }
   bool stable = e->IsMinimal(m_sel, stability_pqz_);
-  engine_.AbsorbStats(e->stats());
+  engine_->AbsorbStats(e->stats());
   e->ResetStats();
   if (e->interrupted()) return e->interrupt_status();
   return stable;
@@ -96,7 +84,7 @@ Status DsmSemantics::ForEachStable(
   if (!support_pruning_) {
     Status inner = Status::OK();
     int64_t candidates = 0;
-    engine_.EnumerateMinimalProjections(
+    engine_->EnumerateMinimalProjections(
         all_, /*cap=*/-1, [&](const Interpretation& m) {
           if (++candidates > opts_.max_candidates) {
             inner = Status::ResourceExhausted(StrFormat(
@@ -112,7 +100,7 @@ Status DsmSemantics::ForEachStable(
           if (*stable) return visit(m);
           return true;
         });
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    if (engine_->interrupted()) return engine_->interrupt_status();
     return inner;
   }
 
@@ -157,7 +145,7 @@ Status DsmSemantics::ForEachStable(
       // stable-model search early and report wrong inferences.
       MinimalStats ms;
       ms.sat_calls = s.stats().solve_calls;
-      engine_.AbsorbStats(ms);
+      engine_->AbsorbStats(ms);
       return BudgetOrUnknownStatus(opts_.budget,
                                    "DSM candidate oracle unknown");
     }
@@ -168,12 +156,12 @@ Status DsmSemantics::ForEachStable(
                     static_cast<long long>(opts_.max_candidates)));
     }
     Interpretation m = s.Model(db_.num_vars());
-    Interpretation mm = engine_.Minimize(m, all_);
-    if (engine_.interrupted()) {
+    Interpretation mm = engine_->Minimize(m, all_);
+    if (engine_->interrupted()) {
       MinimalStats ms;
       ms.sat_calls = s.stats().solve_calls;
-      engine_.AbsorbStats(ms);
-      return engine_.interrupt_status();
+      engine_->AbsorbStats(ms);
+      return engine_->interrupt_status();
     }
     DD_ASSIGN_OR_RETURN(bool stable, IsStable(mm));
     if (stable && !visit(mm)) break;
@@ -185,7 +173,7 @@ Status DsmSemantics::ForEachStable(
   }
   MinimalStats ms;
   ms.sat_calls = s.stats().solve_calls;
-  engine_.AbsorbStats(ms);
+  engine_->AbsorbStats(ms);
   return Status::OK();
 }
 
@@ -218,8 +206,8 @@ Result<std::optional<Interpretation>> DsmSemantics::FindCounterexample(
     // DSM = MM: the counterexample-guided entailment loop EGCWA uses, with
     // no stable-model enumeration.
     Interpretation witness;
-    bool entailed = engine_.MinimalEntails(f, all_, &witness);
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    bool entailed = engine_->MinimalEntails(f, all_, &witness);
+    if (engine_->interrupted()) return engine_->interrupt_status();
     if (!entailed) out = std::move(witness);
     return out;
   }
@@ -237,8 +225,8 @@ Result<bool> DsmSemantics::HasModel() {
   if (db_.IsPositive()) return true;  // DSM = MM for positive DBs
   if (!has_negation_) {
     // DSM = MM, which is nonempty iff DB has a model at all.
-    bool sat = engine_.HasModel();
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    bool sat = engine_->HasModel();
+    if (engine_->interrupted()) return engine_->interrupt_status();
     return sat;
   }
   bool found = false;

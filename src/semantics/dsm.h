@@ -10,8 +10,11 @@
 // clause heads(c) <- pos(c) ∧ s_c replaces it (negation-free clauses are
 // copied). Setting s_c := [neg(c) ∩ M = ∅] turns the skeleton into DB^M,
 // so "M ∈ MM(DB^M)" is one <P=V; Q=selectors; Z=∅> minimality check of
-// M ∪ S_M — no reduct, engine or solver is built per candidate. On
-// negation-free DBs DB^M = DB, and the owned engine answers directly.
+// M ∪ S_M — no reduct, engine or solver is built per candidate. The
+// stability engine is private (its skeleton is not DB); candidates are
+// minimized on the main engine over DB, which a Reasoner shares with the
+// other semantics of the view. On negation-free DBs DB^M = DB, and the
+// main engine answers directly.
 // See docs/ORACLE.md ("Stable-model checks").
 //
 // Complexity: stability of a candidate is one SAT call; literal and
@@ -30,7 +33,8 @@ namespace dd {
 
 class DsmSemantics : public Semantics {
  public:
-  explicit DsmSemantics(const Database& db, const SemanticsOptions& opts = {});
+  explicit DsmSemantics(const Database& db, const SemanticsOptions& opts = {},
+                        std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kDsm; }
 
@@ -59,19 +63,9 @@ class DsmSemantics : public Semantics {
   /// candidate search otherwise (the Σ₂ᵖ-complete entry).
   Result<bool> HasModel() override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on both owned engines (clearing their latched
-  /// interrupts) and the options (the support-pruned candidate solver is
-  /// budgeted from the options).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to both owned engines; stability checks show
-  /// up as "minimal" spans, and their counters fold into stats().
-  void SetTrace(obs::TraceContext* trace) override;
-
-  /// Session-reuse accounting of both owned engines.
-  oracle::SessionStats session_stats() const override;
+  /// The main engine, then the stability engine once built.
+  void ForEachEngine(
+      const std::function<void(MinimalEngine*)>& fn) const override;
 
  private:
   /// Runs `visit` over stable models until it returns false.
@@ -81,9 +75,6 @@ class DsmSemantics : public Semantics {
   /// (DBs with negation only).
   MinimalEngine* Stability();
 
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   Partition all_;
   bool support_pruning_ = true;
   bool has_negation_;

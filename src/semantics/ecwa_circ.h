@@ -21,7 +21,8 @@ namespace dd {
 class EcwaSemantics : public Semantics {
  public:
   EcwaSemantics(const Database& db, Partition pqz,
-                const SemanticsOptions& opts = {});
+                const SemanticsOptions& opts = {},
+                std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kEcwa; }
 
@@ -50,23 +51,7 @@ class EcwaSemantics : public Semantics {
   std::vector<bool> AreCircumscriptionModels(
       const std::vector<Interpretation>& candidates);
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine; clears latched interrupts.
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   Partition pqz_;
 };
 

@@ -17,7 +17,8 @@ namespace dd {
 class EgcwaSemantics : public Semantics {
  public:
   explicit EgcwaSemantics(const Database& db,
-                          const SemanticsOptions& opts = {});
+                          const SemanticsOptions& opts = {},
+                          std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kEgcwa; }
 
@@ -54,26 +55,7 @@ class EgcwaSemantics : public Semantics {
   Result<std::vector<std::vector<Var>>> EntailedNegativeClauses(
       int max_size);
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine (and on the options, so any
-  /// helper machinery derived from them inherits it); clears latched
-  /// interrupts from a previous budgeted query.
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the underlying engine (all zero until an
-  /// oracle call runs). The benches report cache_hits from here.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   Partition all_;
   /// Classified once at construction; HasModel() consults it per call.
   bool positive_;

@@ -2,18 +2,20 @@
 
 namespace dd {
 
-GcwaSemantics::GcwaSemantics(const Database& db, const SemanticsOptions& opts)
-    : ClosedWorldSemantics(db, opts),
+GcwaSemantics::GcwaSemantics(const Database& db,
+                             const SemanticsOptions& opts,
+                             std::shared_ptr<MinimalEngine> view)
+    : ClosedWorldSemantics(db, opts, std::move(view)),
       all_(Partition::MinimizeAll(db.num_vars())) {}
 
 Result<bool> GcwaSemantics::InfersLiteral(Lit l) {
   if (l.negative()) {
-    // GCWA |= ¬x iff x is false in every minimal model: if so, ¬x is part
-    // of the augmentation; if x is true in some minimal model M, then M is
-    // itself a GCWA model containing x.
-    bool exists = engine()->ExistsMinimalModelWith(~l, all_);
+    // GCWA |= ¬x iff MM(DB) |= ¬x: if so, ¬x is part of the augmentation;
+    // if x is true in some minimal model M, then M is itself a GCWA model
+    // containing x. The same memoized question as EGCWA's ¬x.
+    bool entailed = engine()->MinimalEntails(FormulaNode::MakeLit(l), all_);
     if (engine()->interrupted()) return engine()->interrupt_status();
-    return !exists;
+    return entailed;
   }
   return InfersFormula(FormulaNode::MakeLit(l));
 }

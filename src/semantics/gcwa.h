@@ -17,7 +17,9 @@ namespace dd {
 
 class GcwaSemantics : public ClosedWorldSemantics {
  public:
-  explicit GcwaSemantics(const Database& db, const SemanticsOptions& opts = {});
+  explicit GcwaSemantics(const Database& db,
+                         const SemanticsOptions& opts = {},
+                         std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kGcwa; }
 

@@ -7,22 +7,29 @@
 namespace dd {
 
 namespace {
+
 using sat::SolveResult;
-using sat::Solver;
+
+// The engine over DB+: without negation DB+ = DB, so the caller's view (or,
+// when null, the base class's private engine over DB) serves.
+std::shared_ptr<MinimalEngine> PositivizedEngine(
+    const Database& db, const SemanticsOptions& opts,
+    std::shared_ptr<MinimalEngine> view) {
+  if (!db.HasNegation()) return view;
+  return std::make_shared<MinimalEngine>(db.Positivize(),
+                                         opts.minimal_options());
+}
+
 }  // namespace
 
-IcwaSemantics::IcwaSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      positivized_(db.Positivize()),
-      engine_(positivized_, opts.minimal_options()) {}
+IcwaSemantics::IcwaSemantics(const Database& db, const SemanticsOptions& opts,
+                             std::shared_ptr<MinimalEngine> view)
+    : Semantics(db, opts, PositivizedEngine(db, opts, std::move(view))) {}
 
 IcwaSemantics::IcwaSemantics(const Database& db, Stratification strat,
-                             const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      positivized_(db.Positivize()),
-      engine_(positivized_, opts.minimal_options()),
+                             const SemanticsOptions& opts,
+                             std::shared_ptr<MinimalEngine> view)
+    : Semantics(db, opts, PositivizedEngine(db, opts, std::move(view))),
       strat_(std::move(strat)),
       strat_provided_(true) {}
 
@@ -54,17 +61,12 @@ Status IcwaSemantics::EnsureStratified() {
   return Status::OK();
 }
 
-void IcwaSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
-
 Result<bool> IcwaSemantics::IsIcwaModel(const Interpretation& m) {
   DD_RETURN_IF_ERROR(EnsureStratified());
-  if (!positivized_.Satisfies(m)) return false;
+  if (!engine_->db().Satisfies(m)) return false;
   for (const Partition& p : stratum_partitions_) {
-    bool minimal = engine_.IsMinimal(m, p);
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    bool minimal = engine_->IsMinimal(m, p);
+    if (engine_->interrupted()) return engine_->interrupt_status();
     if (!minimal) return false;
   }
   return true;
@@ -72,17 +74,20 @@ Result<bool> IcwaSemantics::IsIcwaModel(const Interpretation& m) {
 
 Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
   DD_RETURN_IF_ERROR(EnsureStratified());
-  // Counterexample-guided search for an ICWA model violating F.
-  Solver s;
-  s.SetBudget(opts_.budget);
-  s.EnsureVars(positivized_.num_vars());
-  for (const auto& cl : positivized_.ToCnf()) s.AddClause(cl);
-  Var next = static_cast<Var>(positivized_.num_vars());
-  std::vector<std::vector<Lit>> fcnf;
-  Lit fl = TseitinEncode(f, &next, &fcnf);
-  s.EnsureVars(next);
-  for (auto& cl : fcnf) s.AddClause(std::move(cl));
-  s.AddUnit(~fl);
+  MinimalEngine* e = engine();
+  const int n = e->db().num_vars();  // DB+
+  // Counterexample-guided search for an ICWA model violating F. The
+  // candidates are models of DB+ ∧ ¬F outside the blocked regions, drawn
+  // from one guarded context on the engine's session (no CNF reload).
+  MinimalEngine::Query cand(e);
+  {
+    std::vector<std::vector<Lit>> fcnf;
+    Var next = cand.NextVar();
+    Lit fl = TseitinEncode(f, &next, &fcnf);
+    cand.ReserveVars(next);
+    for (auto& cl : fcnf) cand.AddClause(std::move(cl));
+    cand.AddUnit(~fl);
+  }
 
   int64_t iterations = 0;
   for (;;) {
@@ -90,20 +95,17 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
       return Status::ResourceExhausted(
           "ICWA inference exceeded the candidate budget");
     }
-    SolveResult r = s.Solve();
-    if (r == SolveResult::kUnknown) {
-      // Deadline / conflict budget / injected fault: kUnsat would wrongly
-      // report "inferred", so degrade to Status.
-      return BudgetOrUnknownStatus(opts_.budget,
-                                   "ICWA candidate oracle unknown");
-    }
+    SolveResult r = cand.Solve();
+    // kUnknown (deadline / conflict budget / injected fault) must not be
+    // read as kUnsat ("inferred").
+    if (e->interrupted()) return e->interrupt_status();
     if (r != SolveResult::kSat) return true;
-    Interpretation m = s.Model(positivized_.num_vars());
+    Interpretation m = cand.Model(n);
 
     int failing = -1;
     for (size_t i = 0; i < stratum_partitions_.size(); ++i) {
-      bool minimal = engine_.IsMinimal(m, stratum_partitions_[i]);
-      if (engine_.interrupted()) return engine_.interrupt_status();
+      bool minimal = e->IsMinimal(m, stratum_partitions_[i]);
+      if (e->interrupted()) return e->interrupt_status();
       if (!minimal) {
         failing = static_cast<int>(i);
         break;
@@ -112,13 +114,13 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
     if (failing < 0) return false;  // m is an ICWA counterexample
 
     const Partition& pi = stratum_partitions_[static_cast<size_t>(failing)];
-    Interpretation mm = engine_.Minimize(m, pi);
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    Interpretation mm = e->Minimize(m, pi);
+    if (e->interrupted()) return e->interrupt_status();
     // Probe: a ¬F-model sharing mm's exact <Pᵢ,Qᵢ>-projection would be
     // ECWA_i-minimal; if none exists the whole region is safe to block
-    // (its ICWA models, if any, satisfy F). The probe is "positivized DB
-    // plus Tseitin(¬F)", so it rides the engine's session.
-    MinimalEngine::Query probe(&engine_);
+    // (its ICWA models, if any, satisfy F). The probe runs in its own
+    // context, free of the candidate context's blocks.
+    MinimalEngine::Query probe(e);
     {
       std::vector<std::vector<Lit>> pcnf;
       Var pnext = probe.NextVar();
@@ -128,36 +130,34 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
       probe.AddUnit(~pl);
     }
     std::vector<Lit> proj;
-    for (Var v = 0; v < positivized_.num_vars(); ++v) {
+    for (Var v = 0; v < n; ++v) {
       if (pi.p.Contains(v) || pi.q.Contains(v)) {
         proj.push_back(Lit::Make(v, mm.Contains(v)));
       }
     }
     SolveResult pr = probe.Solve(proj);
-    if (engine_.interrupted()) {
+    if (e->interrupted()) {
       // kUnknown must not fall through to region-blocking: the region might
       // hold the counterexample the probe failed to find.
-      return engine_.interrupt_status();
+      return e->interrupt_status();
     }
+    std::vector<Lit> block;
     if (pr == SolveResult::kSat) {
       // Inconclusive region: exclude exactly m and keep searching.
-      std::vector<Lit> block;
-      for (Var v = 0; v < positivized_.num_vars(); ++v) {
+      for (Var v = 0; v < n; ++v) {
         block.push_back(m.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
       }
-      s.AddClause(std::move(block));
     } else {
       // Block the whole region {P_i ⊇ mm∩P_i, Q_i = mm∩Q_i}.
-      std::vector<Lit> block;
-      for (Var v = 0; v < positivized_.num_vars(); ++v) {
+      for (Var v = 0; v < n; ++v) {
         if (pi.p.Contains(v) && mm.Contains(v)) block.push_back(Lit::Neg(v));
         if (pi.q.Contains(v)) {
           block.push_back(mm.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
         }
       }
       if (block.empty()) return true;  // the region is everything
-      s.AddClause(std::move(block));
     }
+    cand.AddClause(std::move(block));
   }
 }
 
@@ -180,7 +180,7 @@ Result<std::vector<Interpretation>> IcwaSemantics::Models(int64_t cap) {
   std::vector<Interpretation> out;
   Status inner = Status::OK();
   int64_t candidates = 0;
-  engine_.EnumerateAllMinimalModels(
+  engine_->EnumerateAllMinimalModels(
       stratum_partitions_[0], /*cap=*/-1, [&](const Interpretation& m) {
         if (++candidates > opts_.max_candidates) {
           inner = Status::ResourceExhausted("too many ECWA_1 models");
@@ -188,8 +188,8 @@ Result<std::vector<Interpretation>> IcwaSemantics::Models(int64_t cap) {
         }
         bool ok = true;
         for (size_t i = 1; i < stratum_partitions_.size(); ++i) {
-          bool minimal = engine_.IsMinimal(m, stratum_partitions_[i]);
-          if (engine_.interrupted()) return false;  // stop; handled below
+          bool minimal = engine_->IsMinimal(m, stratum_partitions_[i]);
+          if (engine_->interrupted()) return false;  // stop; handled below
           if (!minimal) {
             ok = false;
             break;
@@ -201,11 +201,11 @@ Result<std::vector<Interpretation>> IcwaSemantics::Models(int64_t cap) {
         }
         return true;
       });
-  if (engine_.interrupted()) {
+  if (engine_->interrupted()) {
     // Anytime payload: each collected model passed every stratum check
     // before the interrupt, so all of them ARE ICWA models.
     partial_models_ = std::move(out);
-    return engine_.interrupt_status();
+    return engine_->interrupt_status();
   }
   DD_RETURN_IF_ERROR(inner);
   return out;

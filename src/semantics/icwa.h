@@ -17,6 +17,7 @@
 #ifndef DD_SEMANTICS_ICWA_H_
 #define DD_SEMANTICS_ICWA_H_
 
+#include <memory>
 #include <vector>
 
 #include "minimal/pqz.h"
@@ -31,11 +32,17 @@ class IcwaSemantics : public Semantics {
   /// first operation if that is impossible). Every atom belongs to the
   /// stratum the stratifier assigns; the extra floating set Z is empty
   /// under this constructor.
-  explicit IcwaSemantics(const Database& db, const SemanticsOptions& opts = {});
+  ///
+  /// The engine runs on the positivized database DB+. Without negation
+  /// Positivize() is the identity, so a `view` engine over DB (borrowed
+  /// from a Reasoner) serves directly; with negation the engine is private.
+  explicit IcwaSemantics(const Database& db, const SemanticsOptions& opts = {},
+                         std::shared_ptr<MinimalEngine> view = nullptr);
 
   /// Uses a caller-provided stratification (the paper treats S as given).
   IcwaSemantics(const Database& db, Stratification strat,
-                const SemanticsOptions& opts = {});
+                const SemanticsOptions& opts = {},
+                std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kIcwa; }
 
@@ -51,27 +58,9 @@ class IcwaSemantics : public Semantics {
 
   Result<std::vector<Interpretation>> Models(int64_t cap = -1) override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine and the options (the CEGAR
-  /// loop's dedicated solver is budgeted from the options).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
   Status EnsureStratified();
 
-  Database db_;
-  SemanticsOptions opts_;
-  Database positivized_;
-  MinimalEngine engine_;  ///< over the positivized database
   std::optional<Stratification> strat_;
   bool strat_provided_ = false;
   std::vector<Partition> stratum_partitions_;

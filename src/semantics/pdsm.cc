@@ -84,15 +84,26 @@ Database BuildBitDatabases(const Database& db, Database* bit_db,
 
 }  // namespace
 
+PdsmSemantics::Encoding PdsmSemantics::Encode(const Database& db,
+                                              const SemanticsOptions& opts) {
+  Encoding enc{Database(MakeBitVocabulary(db)), {}, nullptr};
+  enc.stability = std::make_shared<MinimalEngine>(
+      BuildBitDatabases(db, &enc.bit_db, &enc.guarded),
+      opts.minimal_options());
+  return enc;
+}
+
 PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      bit_db_(MakeBitVocabulary(db)),
-      engine_(BuildBitDatabases(db, &bit_db_, &guarded_),
-              opts.minimal_options()) {
+    : PdsmSemantics(db, opts, Encode(db, opts)) {}
+
+PdsmSemantics::PdsmSemantics(const Database& db, const SemanticsOptions& opts,
+                             Encoding enc)
+    : Semantics(db, opts, std::move(enc.stability)),
+      bit_db_(std::move(enc.bit_db)),
+      guarded_(std::move(enc.guarded)) {
   const Var n = db_.num_vars();
-  stability_pqz_ = Partition::MinimizeAll(engine_.db().num_vars());
-  for (Var v = 2 * n; v < engine_.db().num_vars(); ++v) {
+  stability_pqz_ = Partition::MinimizeAll(engine_->db().num_vars());
+  for (Var v = 2 * n; v < engine_->db().num_vars(); ++v) {
     stability_pqz_.p.Erase(v);
     stability_pqz_.q.Insert(v);
   }
@@ -121,11 +132,6 @@ Interpretation PdsmSemantics::EncodeBits(const PartialInterpretation& i) const {
   return out;
 }
 
-void PdsmSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
-
 Result<bool> PdsmSemantics::IsPartialStable(const PartialInterpretation& i) {
   if (i.num_vars() != db_.num_vars()) {
     return Status::InvalidArgument("interpretation size mismatch");
@@ -134,7 +140,7 @@ Result<bool> PdsmSemantics::IsPartialStable(const PartialInterpretation& i) {
   // the skeleton into the reduct DB^I.
   const Var n = db_.num_vars();
   const Var k = static_cast<Var>(guarded_.size());
-  Interpretation x(engine_.db().num_vars());
+  Interpretation x(engine_->db().num_vars());
   for (Var v : EncodeBits(i).TrueAtoms()) x.Insert(v);
   for (Var j = 0; j < k; ++j) {
     // Constant value κ of the (replaced) negative body.
@@ -145,8 +151,8 @@ Result<bool> PdsmSemantics::IsPartialStable(const PartialInterpretation& i) {
     if (kappa != TruthValue::kFalse) x.Insert(2 * n + j);
     if (kappa == TruthValue::kTrue) x.Insert(2 * n + k + j);
   }
-  bool stable = engine_.IsMinimal(x, stability_pqz_);
-  if (engine_.interrupted()) return engine_.interrupt_status();
+  bool stable = engine_->IsMinimal(x, stability_pqz_);
+  if (engine_->interrupted()) return engine_->interrupt_status();
   return stable;
 }
 
@@ -167,7 +173,7 @@ Status PdsmSemantics::ForEachPartialStable(
       // truncate the partial-stable search and flip inferences.
       MinimalStats ms;
       ms.sat_calls = s.stats().solve_calls;
-      engine_.AbsorbStats(ms);
+      engine_->AbsorbStats(ms);
       return BudgetOrUnknownStatus(opts_.budget,
                                    "PDSM candidate oracle unknown");
     }

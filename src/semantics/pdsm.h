@@ -26,6 +26,7 @@
 #ifndef DD_SEMANTICS_PDSM_H_
 #define DD_SEMANTICS_PDSM_H_
 
+#include <memory>
 #include <vector>
 
 #include "minimal/pqz.h"
@@ -66,21 +67,6 @@ class PdsmSemantics : public Semantics {
 
   Result<bool> HasModel() override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned stability engine (clearing its
-  /// latched interrupt) and the options (the bit-model candidate solver
-  /// inherits it).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned stability engine.
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
   /// The two-bit encoding of the 3-valued models of the database itself
   /// (exposed for tests): atom v maps to bits t=v and nf=num_vars+v.
   const Database& bit_database() const { return bit_db_; }
@@ -94,15 +80,22 @@ class PdsmSemantics : public Semantics {
   Status ForEachPartialStable(
       const std::function<bool(const PartialInterpretation&)>& visit);
 
-  Database db_;
-  SemanticsOptions opts_;
+  /// The bit database, the guarded clauses and the private stability
+  /// engine over the selector skeleton, built together before the base.
+  struct Encoding {
+    Database bit_db;
+    std::vector<int> guarded;
+    std::shared_ptr<MinimalEngine> stability;
+  };
+  static Encoding Encode(const Database& db, const SemanticsOptions& opts);
+  PdsmSemantics(const Database& db, const SemanticsOptions& opts,
+                Encoding enc);
+
   Database bit_db_;
   // Selector skeleton: guarded_[j] is the index of the j-th clause with a
   // negative body; its selectors are a_j = 2n + j and b_j = 2n + k + j
-  // (k = guarded_.size()). engine_'s initializer fills bit_db_ and
-  // guarded_, so both must be declared before it.
+  // (k = guarded_.size()). The main engine is the stability engine.
   std::vector<int> guarded_;
-  MinimalEngine engine_;  ///< stability engine over the selector skeleton
   Partition stability_pqz_;  ///< P = the 2n bits, Q = selectors, Z = ∅
 };
 

@@ -5,10 +5,9 @@
 
 namespace dd {
 
-PerfSemantics::PerfSemantics(const Database& db, const SemanticsOptions& opts)
-    : db_(db),
-      opts_(opts),
-      engine_(db, opts.minimal_options()),
+PerfSemantics::PerfSemantics(const Database& db, const SemanticsOptions& opts,
+                             std::shared_ptr<MinimalEngine> view)
+    : Semantics(db, opts, std::move(view)),
       priority_(db),
       all_(Partition::MinimizeAll(db.num_vars())) {}
 
@@ -21,11 +20,6 @@ Status PerfSemantics::CheckSupported() const {
   return Status::OK();
 }
 
-void PerfSemantics::SetBudget(std::shared_ptr<Budget> budget) {
-  opts_.budget = budget;
-  engine_.SetBudget(std::move(budget));
-}
-
 Result<bool> PerfSemantics::IsPerfect(const Interpretation& m) {
   DD_RETURN_IF_ERROR(CheckSupported());
   if (!db_.Satisfies(m)) return false;
@@ -33,7 +27,7 @@ Result<bool> PerfSemantics::IsPerfect(const Interpretation& m) {
   // every x ∈ N∖m is dominated by some y ∈ m∖N with x < y. This is "DB plus
   // a few query clauses", so it rides the engine's persistent session; the
   // per-candidate loop in Models() makes it the hot PERF oracle call.
-  MinimalEngine::Query q(&engine_);
+  MinimalEngine::Query q(engine());
   std::vector<Lit> differs;
   for (Var v = 0; v < db_.num_vars(); ++v) {
     differs.push_back(m.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
@@ -48,9 +42,9 @@ Result<bool> PerfSemantics::IsPerfect(const Interpretation& m) {
     q.AddClause(std::move(dom));
   }
   sat::SolveResult r = q.Solve();
-  if (engine_.interrupted()) {
+  if (engine_->interrupted()) {
     // kUnknown must not read as kUnsat ("perfect"): degrade to Status.
-    return engine_.interrupt_status();
+    return engine_->interrupt_status();
   }
   return r == sat::SolveResult::kUnsat;
 }
@@ -61,7 +55,7 @@ Result<std::vector<Interpretation>> PerfSemantics::Models(int64_t cap) {
   std::vector<Interpretation> out;
   Status inner = Status::OK();
   int64_t candidates = 0;
-  engine_.EnumerateMinimalProjections(
+  engine_->EnumerateMinimalProjections(
       all_, /*cap=*/-1, [&](const Interpretation& m) {
         if (++candidates > opts_.max_candidates) {
           inner = Status::ResourceExhausted("too many minimal models");
@@ -78,11 +72,11 @@ Result<std::vector<Interpretation>> PerfSemantics::Models(int64_t cap) {
         }
         return true;
       });
-  if (engine_.interrupted()) {
+  if (engine_->interrupted()) {
     // Anytime payload: each collected model passed IsPerfect before the
     // interrupt, so the set is a sound truncated prefix.
     partial_models_ = std::move(out);
-    return engine_.interrupt_status();
+    return engine_->interrupt_status();
   }
   if (!inner.ok()) {
     if (inner.IsBudgetExhaustion()) partial_models_ = std::move(out);
@@ -156,15 +150,15 @@ Result<std::optional<Interpretation>> PerfSemantics::FindCounterexample(
     // No strict priorities, so PERF = MM: the counterexample-guided
     // entailment loop EGCWA uses, with no minimal-model enumeration.
     Interpretation witness;
-    bool entailed = engine_.MinimalEntails(f, all_, &witness);
-    if (engine_.interrupted()) return engine_.interrupt_status();
+    bool entailed = engine_->MinimalEntails(f, all_, &witness);
+    if (engine_->interrupted()) return engine_->interrupt_status();
     if (!entailed) out = std::move(witness);
     return out;
   }
   // With negation, search the minimal models (perfect ⊆ minimal).
   Status inner = Status::OK();
   int64_t candidates = 0;
-  engine_.EnumerateMinimalProjections(
+  engine_->EnumerateMinimalProjections(
       all_, /*cap=*/-1, [&](const Interpretation& m) {
         if (++candidates > opts_.max_candidates) {
           inner = Status::ResourceExhausted("too many minimal models");
@@ -183,10 +177,10 @@ Result<std::optional<Interpretation>> PerfSemantics::FindCounterexample(
         return true;
       });
   if (!inner.ok()) return inner;
-  if (!out.has_value() && engine_.interrupted()) {
+  if (!out.has_value() && engine_->interrupted()) {
     // No counterexample found, but the enumeration was cut short: "no
     // counterexample" would wrongly report the formula as inferred.
-    return engine_.interrupt_status();
+    return engine_->interrupt_status();
   }
   return out;
 }

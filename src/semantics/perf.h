@@ -13,8 +13,8 @@
 // Complexity: "is M perfect" is one SAT call (the paper's "DB' has no
 // model" transformation); literal/formula inference Π₂ᵖ-complete; model
 // existence Σ₂ᵖ-complete for DNDBs. Without negation, inference is the
-// owned engine's counterexample-guided minimal entailment and enumerates no
-// minimal models.
+// engine's memoized counterexample-guided minimal entailment and
+// enumerates no minimal models.
 #ifndef DD_SEMANTICS_PERF_H_
 #define DD_SEMANTICS_PERF_H_
 
@@ -29,7 +29,9 @@ class PerfSemantics : public Semantics {
  public:
   /// Defined for databases without integrity clauses (paper footnote 3);
   /// operations fail with FailedPrecondition otherwise.
-  explicit PerfSemantics(const Database& db, const SemanticsOptions& opts = {});
+  explicit PerfSemantics(const Database& db,
+                         const SemanticsOptions& opts = {},
+                         std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kPerf; }
 
@@ -59,27 +61,9 @@ class PerfSemantics : public Semantics {
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 
-  const MinimalStats& stats() const override { return engine_.stats(); }
-
-  /// Installs the budget on the owned engine and the options (the strata
-  /// iteration's per-level engines inherit it from the options).
-  void SetBudget(std::shared_ptr<Budget> budget) override;
-
-  /// Attaches the query trace to the owned engine (per-level helper
-  /// engines run untraced; their counters fold into stats()).
-  void SetTrace(obs::TraceContext* trace) override { engine_.SetTrace(trace); }
-
-  /// Session-reuse accounting of the owned engine.
-  oracle::SessionStats session_stats() const override {
-    return engine_.session_stats();
-  }
-
  private:
   Status CheckSupported() const;
 
-  Database db_;
-  SemanticsOptions opts_;
-  MinimalEngine engine_;
   PriorityRelation priority_;
   Partition all_;
 };

@@ -56,8 +56,10 @@ Interpretation LeastModel(int num_vars, const std::vector<SplitRule>& rules) {
 
 }  // namespace
 
-PwsSemantics::PwsSemantics(const Database& db, const SemanticsOptions& opts)
-    : ClosedWorldSemantics(db, opts),
+PwsSemantics::PwsSemantics(const Database& db,
+                           const SemanticsOptions& opts,
+                           std::shared_ptr<MinimalEngine> view)
+    : ClosedWorldSemantics(db, opts, std::move(view)),
       deductive_(!db.HasNegation()),
       positive_(deductive_ && !db.HasIntegrityClauses()) {}
 

@@ -27,7 +27,9 @@ class PwsSemantics : public ClosedWorldSemantics {
  public:
   /// Defined for deductive databases (no negation); operations fail with
   /// FailedPrecondition otherwise.
-  explicit PwsSemantics(const Database& db, const SemanticsOptions& opts = {});
+  explicit PwsSemantics(const Database& db,
+                        const SemanticsOptions& opts = {},
+                        std::shared_ptr<MinimalEngine> view = nullptr);
 
   SemanticsKind kind() const override { return SemanticsKind::kPws; }
 

@@ -67,6 +67,29 @@ std::optional<SemanticsKind> SemanticsKindFromName(std::string_view name) {
   return std::nullopt;
 }
 
+Semantics::Semantics(const Database& db, const SemanticsOptions& opts,
+                     std::shared_ptr<MinimalEngine> engine)
+    : db_(db),
+      opts_(opts),
+      engine_(engine != nullptr ? std::move(engine)
+                                : std::make_shared<MinimalEngine>(
+                                      db, opts.minimal_options())) {}
+
+void Semantics::SetBudget(std::shared_ptr<Budget> budget) {
+  opts_.budget = budget;
+  ForEachEngine([&](MinimalEngine* e) { e->SetBudget(budget); });
+}
+
+void Semantics::SetTrace(obs::TraceContext* trace) {
+  ForEachEngine([&](MinimalEngine* e) { e->SetTrace(trace); });
+}
+
+oracle::SessionStats Semantics::session_stats() const {
+  oracle::SessionStats out;
+  ForEachEngine([&](MinimalEngine* e) { out.Add(e->session_stats()); });
+  return out;
+}
+
 Result<bool> Semantics::InfersLiteral(Lit l) {
   return InfersFormula(FormulaNode::MakeLit(l));
 }
@@ -96,31 +119,33 @@ Result<std::optional<Interpretation>> Semantics::FindCounterexample(
 
 std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
                                          const Database& db,
-                                         const SemanticsOptions& opts) {
+                                         const SemanticsOptions& opts,
+                                         std::shared_ptr<MinimalEngine> view) {
   switch (kind) {
     case SemanticsKind::kCwa:
-      return std::make_unique<CwaSemantics>(db, opts);
+      return std::make_unique<CwaSemantics>(db, opts, std::move(view));
     case SemanticsKind::kGcwa:
-      return std::make_unique<GcwaSemantics>(db, opts);
+      return std::make_unique<GcwaSemantics>(db, opts, std::move(view));
     case SemanticsKind::kEgcwa:
-      return std::make_unique<EgcwaSemantics>(db, opts);
+      return std::make_unique<EgcwaSemantics>(db, opts, std::move(view));
     case SemanticsKind::kCcwa:
       return std::make_unique<CcwaSemantics>(
-          db, Partition::MinimizeAll(db.num_vars()), opts);
+          db, Partition::MinimizeAll(db.num_vars()), opts, std::move(view));
     case SemanticsKind::kEcwa:
       return std::make_unique<EcwaSemantics>(
-          db, Partition::MinimizeAll(db.num_vars()), opts);
+          db, Partition::MinimizeAll(db.num_vars()), opts, std::move(view));
     case SemanticsKind::kDdr:
-      return std::make_unique<DdrSemantics>(db, opts);
+      return std::make_unique<DdrSemantics>(db, opts, std::move(view));
     case SemanticsKind::kPws:
-      return std::make_unique<PwsSemantics>(db, opts);
+      return std::make_unique<PwsSemantics>(db, opts, std::move(view));
     case SemanticsKind::kPerf:
-      return std::make_unique<PerfSemantics>(db, opts);
+      return std::make_unique<PerfSemantics>(db, opts, std::move(view));
     case SemanticsKind::kIcwa:
-      return std::make_unique<IcwaSemantics>(db, opts);
+      return std::make_unique<IcwaSemantics>(db, opts, std::move(view));
     case SemanticsKind::kDsm:
-      return std::make_unique<DsmSemantics>(db, opts);
+      return std::make_unique<DsmSemantics>(db, opts, std::move(view));
     case SemanticsKind::kPdsm:
+      // The stability engine runs on a selector skeleton, not on `db`.
       return std::make_unique<PdsmSemantics>(db, opts);
   }
   DD_CHECK(false);

@@ -15,6 +15,7 @@
 #define DD_SEMANTICS_SEMANTICS_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -160,30 +161,41 @@ class Semantics {
   /// which f is not false.
   Result<bool> InfersCredulously(const Formula& f);
 
-  /// Cumulative oracle accounting.
-  virtual const MinimalStats& stats() const = 0;
+  /// Cumulative oracle accounting of the engine this semantics runs on,
+  /// including the helper solvers whose calls it folds in. A view engine
+  /// borrowed from a Reasoner counts the work of every borrower.
+  const MinimalStats& stats() const { return engine_->stats(); }
 
   /// Installs (or with nullptr removes) a shared query budget on this
-  /// semantics and every engine/solver it owns, clearing any interrupt
-  /// latched by a previous budgeted query. While a budget is attached,
-  /// the Result-returning entry points answer
-  /// kDeadlineExceeded/kResourceExhausted on exhaustion; any OK answer is
-  /// identical to the unbudgeted one ("Unknown is allowed, wrong is not",
-  /// docs/ROBUSTNESS.md).
-  virtual void SetBudget(std::shared_ptr<Budget> budget) = 0;
+  /// semantics and every engine it runs on (helper solvers inherit it from
+  /// options()), clearing any interrupt latched by a previous budgeted
+  /// query. While a budget is attached, the Result-returning entry points
+  /// answer kDeadlineExceeded/kResourceExhausted on exhaustion; any OK
+  /// answer is identical to the unbudgeted one ("Unknown is allowed, wrong
+  /// is not", docs/ROBUSTNESS.md).
+  void SetBudget(std::shared_ptr<Budget> budget);
 
-  /// Attaches (nullptr detaches) a query trace to this semantics and the
-  /// engine(s) it owns: the owned MinimalEngine opens one "minimal"-layer
-  /// span per outermost operation. Helper/reduct engines spawned during a
-  /// query run untraced — their counters fold into the owning engine's
-  /// stats and are attributed to the enclosing span. Installed per query
-  /// by core/Reasoner; see obs/trace.h and docs/OBSERVABILITY.md.
-  virtual void SetTrace(obs::TraceContext* trace) = 0;
+  /// Attaches (nullptr detaches) a query trace to every engine this
+  /// semantics runs on: each opens one "minimal"-layer span per outermost
+  /// operation. Helper engines spawned during a query run untraced — their
+  /// counters fold into stats() and are attributed to the enclosing span.
+  /// Installed per query by core/Reasoner; see obs/trace.h and
+  /// docs/OBSERVABILITY.md.
+  void SetTrace(obs::TraceContext* trace);
 
-  /// Session-reuse accounting of the owned engine(s) (all zero until an
+  /// Session-reuse accounting summed over ForEachEngine (all zero until an
   /// oracle call runs). The benches and the reasoner's trace spans report
   /// cache_hits from here.
-  virtual oracle::SessionStats session_stats() const = 0;
+  oracle::SessionStats session_stats() const;
+
+  /// Visits every engine this semantics runs on: the main engine (a
+  /// private one, or a view engine shared with other semantics), then any
+  /// private helper engine (the DSM stability engine). Accounting that
+  /// must count each engine once (Reasoner::TotalStats) dedupes on these.
+  virtual void ForEachEngine(
+      const std::function<void(MinimalEngine*)>& fn) const {
+    fn(engine_.get());
+  }
 
   /// Anytime payload: the models a Models() call had already collected when
   /// it was cut short by budget exhaustion (the call itself returns the
@@ -195,6 +207,21 @@ class Semantics {
   }
 
  protected:
+  /// `engine` is the minimal-model engine to run on: a view engine
+  /// borrowed from a Reasoner, or null for a private engine over `db`.
+  Semantics(const Database& db, const SemanticsOptions& opts,
+            std::shared_ptr<MinimalEngine> engine);
+
+  const Database& db() const { return db_; }
+  const SemanticsOptions& options() const { return opts_; }
+  MinimalEngine* engine() const { return engine_.get(); }
+
+  Database db_;
+  /// Carries the current budget (SetBudget), so helper solvers built from
+  /// it inherit the query's limits.
+  SemanticsOptions opts_;
+  std::shared_ptr<MinimalEngine> engine_;
+
   /// Implementations stash their collected-so-far models here before
   /// returning an exhaustion Status from Models().
   std::vector<Interpretation> partial_models_;
@@ -203,10 +230,12 @@ class Semantics {
 /// Factory covering the semantics that need no extra parameters
 /// (CCWA/ECWA require a partition and have their own constructors; the
 /// factory instantiates them with the all-minimized partition, under which
-/// CCWA degenerates to GCWA and ECWA to EGCWA).
-std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
-                                         const Database& db,
-                                         const SemanticsOptions& opts = {});
+/// CCWA degenerates to GCWA and ECWA to EGCWA). `view`, when non-null, is
+/// a MinimalEngine over `db` that the semantics borrows instead of
+/// creating a private one (core/Reasoner shares one per database view).
+std::unique_ptr<Semantics> MakeSemantics(
+    SemanticsKind kind, const Database& db, const SemanticsOptions& opts = {},
+    std::shared_ptr<MinimalEngine> view = nullptr);
 
 }  // namespace dd
 

@@ -15,8 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "core/brute_force.h"
 #include "core/reasoner.h"
+#include "gen/generators.h"
 #include "gtest/gtest.h"
+#include "qbf/reductions.h"
 #include "sat/fault.h"
 #include "sat/solver.h"
 #include "semantics/dsm.h"
@@ -660,6 +663,72 @@ TEST(FaultSoak, AnswersIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+TEST(FaultSoak, SharedViewMemoNeverPoisoned) {
+  // The six Π₂ᵖ semantics of a positive database borrow ONE view engine
+  // and its entailment memo on a Reasoner. A fault during the first
+  // semantics may turn its verdict into Unknown but never flip it; after
+  // SetBudget(nullptr) re-arms the shared engine, the other five must
+  // equal brute force exactly — so no memo entry was stored from the
+  // interrupted call. Gadgets of both verdicts are drawn: an interrupted
+  // search returns the placeholder "entailed", which only a memo poisoned
+  // on a not-entailed gadget would replay.
+  const SemanticsKind six[] = {SemanticsKind::kGcwa, SemanticsKind::kEgcwa,
+                               SemanticsKind::kEcwa, SemanticsKind::kCcwa,
+                               SemanticsKind::kIcwa, SemanticsKind::kPerf};
+  std::vector<sat::FaultPlan> plans;
+  for (int64_t k = 1; k <= 12; ++k) plans.push_back({k, 0});  // unknown_at
+  for (int64_t k = 0; k <= 4; ++k) plans.push_back({0, k});   // exhaust_after
+  Rng rng(424);
+  int per_verdict[2] = {0, 0};  // gadgets kept per expected verdict
+  int unknowns = 0;
+  for (int gadget = 0; gadget < 200; ++gadget) {
+    if (per_verdict[0] >= 2 && per_verdict[1] >= 2) break;
+    QbfForallExistsCnf qbf = RandomQbf(2, 2, 6, 3, &rng);
+    ReducedInstance inst = ReducePi2ToGcwaLiteral(qbf);
+    const Database& db = inst.db;
+    const std::string query = "not " + db.vocabulary().Name(inst.w);
+    // On a positive database all six agree with EGCWA: MM(DB) |= ¬w.
+    const bool expected =
+        brute::Infers(brute::MinimalModels(db),
+                      FormulaNode::MakeLit(Lit::Neg(inst.w)));
+    if (per_verdict[expected ? 1 : 0]++ >= 2) continue;
+    for (const sat::FaultPlan& plan : plans) {
+      for (size_t first = 0; first < 6; ++first) {
+        Reasoner r(db);
+        r.set_analysis_dispatch(false);  // all six on the full view
+        {
+          sat::ScopedFaultPlan scoped(plan);
+          auto got = r.InfersLiteral(six[first], query);
+          if (got.ok()) {
+            EXPECT_EQ(*got, expected) << SemanticsKindName(six[first]);
+          } else {
+            ++unknowns;
+            EXPECT_TRUE(got.status().IsBudgetExhaustion())
+                << got.status().ToString();
+          }
+        }
+        sat::ScopedFaultPlan fault_free{sat::FaultPlan{}};
+        r.Get(six[first])->SetBudget(nullptr);
+        for (size_t i = 0; i < 6; ++i) {
+          if (i == first) continue;
+          auto got = r.InfersLiteral(six[i], query);
+          ASSERT_TRUE(got.ok()) << SemanticsKindName(six[first]) << " then "
+                                << SemanticsKindName(six[i]) << ": "
+                                << got.status().ToString();
+          EXPECT_EQ(*got, expected)
+              << "gadget " << gadget << ": " << SemanticsKindName(six[first])
+              << " then " << SemanticsKindName(six[i])
+              << " unknown_at=" << plan.unknown_at
+              << " exhaust_after=" << plan.exhaust_after;
+        }
+      }
+    }
+  }
+  EXPECT_GE(per_verdict[0], 2);  // not-entailed gadgets were exercised
+  EXPECT_GE(per_verdict[1], 2);  // entailed ones too
+  EXPECT_GT(unknowns, 0);        // some injection point hit a query
 }
 
 }  // namespace

@@ -229,5 +229,71 @@ TEST(MinimalEngine, UnsatDatabaseBehaviour) {
   EXPECT_FALSE(e.ExistsMinimalModelWith(Lit::Pos(0), all));
 }
 
+TEST(MinimalEngine, MinimizeUsesOneActivationPerCall) {
+  // Every descent round's "strictly smaller" clause rides the context's
+  // own activation: an uncached Minimize allocates exactly one session
+  // variable however many rounds it runs; a memoized one allocates none.
+  Rng rng(9090);
+  int multi_round = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+    MinimalEngine e(db);
+    Partition pqz = RandomPartition(&rng, db.num_vars());
+    for (const Interpretation& m : brute::AllModels(db)) {
+      const Var vars_before = e.session()->next_var();
+      const int64_t calls_before = e.stats().sat_calls;
+      const int64_t misses_before = e.session_stats().cache_misses;
+      Interpretation mm = e.Minimize(m, pqz);
+      const Var grown = e.session()->next_var() - vars_before;
+      const int64_t calls = e.stats().sat_calls - calls_before;
+      ASSERT_TRUE(grown == 0 || grown == 1) << db.ToString();
+      // A call that reached the oracle missed both memo lookups.
+      if (calls > 0) {
+        ASSERT_EQ(grown, 1) << db.ToString();
+      }
+      if (grown == 1) {
+        ASSERT_GT(e.session_stats().cache_misses, misses_before);
+      }
+      if (calls >= 2) ++multi_round;
+      ASSERT_TRUE(e.IsMinimal(mm, pqz)) << db.ToString();
+    }
+  }
+  EXPECT_GT(multi_round, 0);  // the sweep exercised multi-round descents
+}
+
+TEST(MinimalEngine, EntailmentMemoAnswersRepeatsWithoutOracleCalls) {
+  // MinimalEntails memoizes verdict and counterexample per partition and
+  // formula: a repeat costs no oracle call and returns the same witness,
+  // and neither another partition nor another formula can alias it.
+  Rng rng(5150);
+  for (int iter = 0; iter < 80; ++iter) {
+    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+    MinimalEngine e(db);
+    const Partition parts[] = {Partition::MinimizeAll(db.num_vars()),
+                               RandomPartition(&rng, db.num_vars())};
+    const Formula fs[] = {testing::RandomFormula(&rng, db.num_vars(), 3),
+                          testing::RandomFormula(&rng, db.num_vars(), 3)};
+    for (int round = 0; round < 2; ++round) {
+      for (const Partition& pqz : parts) {
+        for (const Formula& f : fs) {
+          const int64_t calls_before = e.stats().sat_calls;
+          Interpretation ce;
+          const bool got = e.MinimalEntails(f, pqz, &ce);
+          const auto minimal = brute::PqzMinimalModels(db, pqz);
+          ASSERT_EQ(got, brute::Infers(minimal, f))
+              << db.ToString() << "\nF = " << f->ToString(db.vocabulary());
+          if (!got) {
+            ASSERT_FALSE(f->Eval(ce));
+            ASSERT_TRUE(ModelSet(minimal).count(ce) > 0);
+          }
+          if (round == 1) {
+            ASSERT_EQ(e.stats().sat_calls, calls_before) << db.ToString();
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dd

@@ -23,10 +23,12 @@
 
 #include "core/reasoner.h"
 #include "core/oracle_stats.h"
+#include "gen/generators.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/stats_view.h"
 #include "obs/trace.h"
+#include "qbf/reductions.h"
 #include "tests/test_util.h"
 #include "util/budget.h"
 #include "util/thread_pool.h"
@@ -479,6 +481,38 @@ TEST(ThreadPoolEnv, DefaultThreadsRejectsMalformedValues) {
     EnvGuard guard(bad);
     EXPECT_EQ(ThreadPool::DefaultThreads(), fallback) << "DD_THREADS=" << bad;
   }
+}
+
+TEST(TraceExactness, SixSemanticsShareOneViewOnPi2Gadget) {
+  // Theorem 3.1's gadget asked `not w` under the six Π₂ᵖ semantics of
+  // pi2_infer on one Reasoner: they borrow one view engine, so the
+  // database is loaded once, and the reasoner spans still sum to
+  // TotalStats — no engine counted twice.
+  Rng rng(31);
+  QbfForallExistsCnf qbf = RandomQbf(3, 3, 5, 3, &rng);
+  ReducedInstance inst = ReducePi2ToGcwaLiteral(qbf);
+  const std::string query = "not " + inst.db.vocabulary().Name(inst.w);
+  obs::TraceContext trace;
+  Reasoner r(inst.db);
+  r.set_trace(&trace);
+  for (SemanticsKind kind :
+       {SemanticsKind::kGcwa, SemanticsKind::kEgcwa, SemanticsKind::kEcwa,
+        SemanticsKind::kCcwa, SemanticsKind::kIcwa, SemanticsKind::kPerf}) {
+    QueryOptions q;
+    q.deadline_ms = 60000;
+    auto got = r.InfersLiteral(kind, query, q);
+    ASSERT_TRUE(got.ok()) << SemanticsKindName(kind);
+    ASSERT_NE(*got, Trilean::kUnknown) << SemanticsKindName(kind);
+  }
+  EXPECT_EQ(r.TotalSessionStats().base_loads, 1);
+  int reasoner_spans = 0;
+  for (const obs::Span& s : trace.Snapshot()) {
+    if (s.layer == "reasoner") ++reasoner_spans;
+  }
+  EXPECT_EQ(reasoner_spans, 6);
+  EXPECT_EQ(trace.SumCounter("oracle_calls", "reasoner"),
+            r.TotalStats().sat_calls);
+  EXPECT_GT(r.TotalStats().sat_calls, 0);
 }
 
 }  // namespace

@@ -246,5 +246,54 @@ TEST(Solver, IncrementalClauseAddition) {
   }
 }
 
+TEST(Solver, LongIncrementalAssumptionRunsMatchBruteForce) {
+  // One solver answers hundreds of assumption calls while clauses keep
+  // arriving, as a persistent oracle session does. Assumptions may name
+  // variables the solver has not seen yet (it grows on demand). Every
+  // verdict, model and core is checked against exhaustive search.
+  Rng rng(20261019);
+  for (int instance = 0; instance < 12; ++instance) {
+    const int n = 5 + static_cast<int>(rng.Below(5));  // 5..9 clause vars
+    const int span = n + 2;  // assumptions may reach two fresh variables
+    Solver s;
+    s.EnsureVars(n);
+    std::vector<std::vector<Lit>> clauses;
+    for (int call = 0; call < 300; ++call) {
+      if (rng.Chance(0.1)) {
+        std::vector<Lit> c;
+        for (int j = 0; j < 3; ++j) {
+          c.push_back(Lit::Make(static_cast<Var>(rng.Below(n)),
+                                rng.Chance(0.5)));
+        }
+        clauses.push_back(c);
+        s.AddClause(c);
+      }
+      std::vector<Lit> assumptions;
+      const uint64_t k = rng.Below(5);
+      for (uint64_t j = 0; j < k; ++j) {
+        assumptions.push_back(Lit::Make(
+            static_cast<Var>(rng.Below(static_cast<uint64_t>(span))),
+            rng.Chance(0.5)));
+      }
+      SolveResult r = s.Solve(assumptions);
+      const bool expected = BruteSat(span, clauses, assumptions);
+      ASSERT_EQ(r == SolveResult::kSat, expected)
+          << "instance " << instance << " call " << call;
+      if (r == SolveResult::kSat) {
+        Interpretation model = s.Model(span);
+        for (Lit a : assumptions) ASSERT_TRUE(model.Satisfies(a));
+        for (const auto& c : clauses) {
+          bool sat = false;
+          for (Lit l : c) sat |= model.Satisfies(l);
+          ASSERT_TRUE(sat) << "instance " << instance << " call " << call;
+        }
+      } else {
+        ASSERT_FALSE(BruteSat(span, clauses, s.FailedAssumptions()))
+            << "instance " << instance << " call " << call;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dd
