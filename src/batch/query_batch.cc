@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "logic/formula_transform.h"
-#include "semantics/ccwa.h"
-#include "semantics/ecwa_circ.h"
 
 namespace dd {
 namespace batch {
@@ -201,16 +199,8 @@ GroupResult EvaluateGroup(const GroupRequest& req) {
     return out;
   }
 
-  std::unique_ptr<Semantics> engine;
-  if (req.partition != nullptr && req.kind == SemanticsKind::kCcwa) {
-    engine = std::make_unique<CcwaSemantics>(*req.db, *req.partition,
-                                             req.opts);
-  } else if (req.partition != nullptr && req.kind == SemanticsKind::kEcwa) {
-    engine = std::make_unique<EcwaSemantics>(*req.db, *req.partition,
-                                             req.opts);
-  } else {
-    engine = MakeSemantics(req.kind, *req.db, req.opts);
-  }
+  std::unique_ptr<Semantics> engine = MakeSemantics(
+      req.kind, *req.db, req.opts, /*view=*/nullptr, req.partition);
   if (req.budget != nullptr) engine->SetBudget(req.budget);
 
   // Shared model bank: enumerate the group's intended models once and

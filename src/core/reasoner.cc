@@ -5,8 +5,6 @@
 
 #include "batch/batch_planner.h"
 #include "obs/stats_view.h"
-#include "semantics/ccwa.h"
-#include "semantics/ecwa_circ.h"
 #include "util/fingerprint.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -93,6 +91,24 @@ class QuerySpan {
   std::shared_ptr<Budget> budget_;
 };
 
+/// Puts every atom of `part` outside `listed` into the part `rest` names
+/// ('p', 'q' or 'z'); InvalidArgument for any other `rest`.
+Status PlaceUnlisted(const Interpretation& listed, char rest,
+                     Partition* part) {
+  Interpretation* side = rest == 'p'   ? &part->p
+                         : rest == 'q' ? &part->q
+                         : rest == 'z' ? &part->z
+                                       : nullptr;
+  if (side == nullptr) {
+    return Status::InvalidArgument(
+        StrFormat("rest part must be 'p', 'q' or 'z', got '%c'", rest));
+  }
+  for (Var v = 0; v < part->num_vars(); ++v) {
+    if (!listed.Contains(v)) side->Insert(v);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Reasoner::Reasoner(Database db, SemanticsOptions opts)
@@ -130,15 +146,9 @@ std::shared_ptr<MinimalEngine> Reasoner::ViewEngine(
 Semantics* Reasoner::Get(SemanticsKind kind) {
   auto it = engines_.find(kind);
   if (it == engines_.end()) {
-    std::shared_ptr<MinimalEngine> view = ViewEngine(View::kFull);
-    std::unique_ptr<Semantics> engine;
-    if (partition_.has_value() && kind == SemanticsKind::kCcwa) {
-      engine = std::make_unique<CcwaSemantics>(db_, *partition_, opts_, view);
-    } else if (partition_.has_value() && kind == SemanticsKind::kEcwa) {
-      engine = std::make_unique<EcwaSemantics>(db_, *partition_, opts_, view);
-    } else {
-      engine = MakeSemantics(kind, db_, opts_, view);
-    }
+    std::unique_ptr<Semantics> engine =
+        MakeSemantics(kind, db_, opts_, ViewEngine(View::kFull),
+                      partition_.has_value() ? &*partition_ : nullptr);
     engine->SetTrace(trace_);
     it = engines_.emplace(kind, std::move(engine)).first;
   }
@@ -215,23 +225,7 @@ Status Reasoner::SetPartition(const std::vector<std::string>& p_atoms,
   DD_RETURN_IF_ERROR(place(p_atoms, &part.p));
   DD_RETURN_IF_ERROR(place(q_atoms, &part.q));
   DD_RETURN_IF_ERROR(place(z_atoms, &part.z));
-  for (Var v = 0; v < n; ++v) {
-    if (assigned.Contains(v)) continue;
-    switch (rest) {
-      case 'p':
-        part.p.Insert(v);
-        break;
-      case 'q':
-        part.q.Insert(v);
-        break;
-      case 'z':
-        part.z.Insert(v);
-        break;
-      default:
-        return Status::InvalidArgument(
-            StrFormat("rest part must be 'p', 'q' or 'z', got '%c'", rest));
-    }
-  }
+  DD_RETURN_IF_ERROR(PlaceUnlisted(assigned, rest, &part));
   DD_RETURN_IF_ERROR(part.Validate());
   partition_ = std::move(part);
   partition_rest_ = rest;
@@ -263,19 +257,11 @@ void Reasoner::InvalidateCaches() {
     part.p = grow(partition_->p);
     part.q = grow(partition_->q);
     part.z = grow(partition_->z);
-    for (Var v = partition_->num_vars(); v < n; ++v) {
-      switch (partition_rest_) {
-        case 'p':
-          part.p.Insert(v);
-          break;
-        case 'q':
-          part.q.Insert(v);
-          break;
-        default:
-          part.z.Insert(v);
-          break;
-      }
-    }
+    Interpretation listed(n);
+    for (Var v = 0; v < partition_->num_vars(); ++v) listed.Insert(v);
+    // SetPartition validated `partition_rest_`.
+    Status placed = PlaceUnlisted(listed, partition_rest_, &part);
+    DD_CHECK(placed.ok());
     partition_ = std::move(part);
   }
 }
@@ -427,54 +413,11 @@ Reasoner::Routed Reasoner::RouteHasModel(SemanticsKind kind) {
   return rt;
 }
 
-Result<bool> Reasoner::InfersLiteral(SemanticsKind kind,
-                                     std::string_view literal) {
-  int before = db_.num_vars();
-  DD_ASSIGN_OR_RETURN(Lit l, ParseLiteral(literal, &db_.vocabulary()));
-  if (db_.num_vars() != before) {
-    // The literal mentioned a fresh atom; rebuild engines (and the static
-    // analysis) so their variable ranges include it.
-    InvalidateCaches();
-  }
-  QuerySpan span(trace_, this, "InfersLiteral", kind);
-  Routed rt = RouteLiteral(kind, l);
-  if (rt.engine == nullptr) return fast_engine()->InfersLiteral(rt.path, l);
-  Result<bool> r = rt.engine->InfersLiteral(l);
-  DrainHcfCertificates();
-  return r;
-}
-
 Result<Formula> Reasoner::ParseQueryFormula(std::string_view formula) {
   int before = db_.num_vars();
   DD_ASSIGN_OR_RETURN(Formula f, ParseFormula(formula, &db_.vocabulary()));
   if (db_.num_vars() != before) InvalidateCaches();
   return f;
-}
-
-Result<bool> Reasoner::InfersFormula(SemanticsKind kind,
-                                     std::string_view formula) {
-  DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
-  QuerySpan span(trace_, this, "InfersFormula", kind);
-  Routed rt = RouteFormula(kind, f);
-  if (rt.engine == nullptr) return fast_engine()->InfersFormula(rt.path, f);
-  Result<bool> r = rt.engine->InfersFormula(f);
-  DrainHcfCertificates();
-  return r;
-}
-
-Result<bool> Reasoner::HasModel(SemanticsKind kind) {
-  QuerySpan span(trace_, this, "HasModel", kind);
-  Routed rt = RouteHasModel(kind);
-  if (rt.engine == nullptr) return fast_engine()->HasModel(rt.path);
-  Result<bool> r = rt.engine->HasModel();
-  DrainHcfCertificates();
-  return r;
-}
-
-Result<std::vector<Interpretation>> Reasoner::Models(SemanticsKind kind,
-                                                     int64_t cap) {
-  QuerySpan span(trace_, this, "Models", kind);
-  return Get(kind)->Models(cap);
 }
 
 namespace {
@@ -545,11 +488,67 @@ Result<Trilean> ToTrilean(const Result<bool>& r) {
 
 }  // namespace
 
+Result<bool> Reasoner::InfersLiteral(SemanticsKind kind,
+                                     std::string_view literal) {
+  return InfersLiteralBody(kind, literal, QueryOptions{});
+}
+
+Result<bool> Reasoner::InfersFormula(SemanticsKind kind,
+                                     std::string_view formula) {
+  return InfersFormulaBody(kind, formula, QueryOptions{});
+}
+
+Result<bool> Reasoner::HasModel(SemanticsKind kind) {
+  return HasModelBody(kind, QueryOptions{});
+}
+
+Result<std::vector<Interpretation>> Reasoner::Models(SemanticsKind kind,
+                                                     int64_t cap) {
+  return ModelsBody(kind, cap, QueryOptions{});
+}
+
 Result<Trilean> Reasoner::InfersLiteral(SemanticsKind kind,
                                         std::string_view literal,
                                         const QueryOptions& q) {
-  // Parse first: interning a fresh atom invalidates the engine cache, and
-  // the budget must be installed on the engine that runs the query.
+  return ToTrilean(InfersLiteralBody(kind, literal, q));
+}
+
+Result<Trilean> Reasoner::InfersFormula(SemanticsKind kind,
+                                        std::string_view formula,
+                                        const QueryOptions& q) {
+  return ToTrilean(InfersFormulaBody(kind, formula, q));
+}
+
+Result<Trilean> Reasoner::HasModel(SemanticsKind kind, const QueryOptions& q) {
+  return ToTrilean(HasModelBody(kind, q));
+}
+
+Result<ModelsAnswer> Reasoner::Models(SemanticsKind kind, int64_t cap,
+                                      const QueryOptions& q) {
+  Result<std::vector<Interpretation>> r = ModelsBody(kind, cap, q);
+  ModelsAnswer out;
+  if (r.ok()) {
+    out.models = std::move(*r);
+    return out;
+  }
+  if (r.status().IsBudgetExhaustion()) {
+    // Anytime payload: each model the engine had already collected IS an
+    // intended model; only the enumeration was cut short.
+    out.models = Get(kind)->TakePartialModels();
+    out.truncated = true;
+    out.reason = r.status();
+    return out;
+  }
+  return r.status();
+}
+
+Result<bool> Reasoner::InfersLiteralBody(SemanticsKind kind,
+                                         std::string_view literal,
+                                         const QueryOptions& q) {
+  // Parse first: interning a fresh atom invalidates the engine cache
+  // (rebuilding engines and the static analysis so their variable ranges
+  // include it), and the budget must be installed on the engine that runs
+  // the query.
   int before = db_.num_vars();
   DD_ASSIGN_OR_RETURN(Lit l, ParseLiteral(literal, &db_.vocabulary()));
   if (db_.num_vars() != before) InvalidateCaches();
@@ -559,7 +558,7 @@ Result<Trilean> Reasoner::InfersLiteral(SemanticsKind kind,
   if (rt.engine == nullptr) {
     // Polynomial fast path: completes without oracle calls, so the
     // budget is irrelevant and the exact answer stands.
-    return ToTrilean(fast_engine()->InfersLiteral(rt.path, l));
+    return fast_engine()->InfersLiteral(rt.path, l);
   }
   ScopedTrace traced(rt.engine, q.trace, trace_);
   std::shared_ptr<Budget> b = MakeQueryBudget(q);
@@ -567,67 +566,50 @@ Result<Trilean> Reasoner::InfersLiteral(SemanticsKind kind,
   ScopedBudget scope(rt.engine, std::move(b));
   Result<bool> r = rt.engine->InfersLiteral(l);
   DrainHcfCertificates();
-  return ToTrilean(r);
+  return r;
 }
 
-Result<Trilean> Reasoner::InfersFormula(SemanticsKind kind,
-                                        std::string_view formula,
-                                        const QueryOptions& q) {
+Result<bool> Reasoner::InfersFormulaBody(SemanticsKind kind,
+                                         std::string_view formula,
+                                         const QueryOptions& q) {
   DD_ASSIGN_OR_RETURN(Formula f, ParseQueryFormula(formula));
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "InfersFormula",
                  kind);
   Routed rt = RouteFormula(kind, f);
-  if (rt.engine == nullptr) {
-    return ToTrilean(fast_engine()->InfersFormula(rt.path, f));
-  }
+  if (rt.engine == nullptr) return fast_engine()->InfersFormula(rt.path, f);
   ScopedTrace traced(rt.engine, q.trace, trace_);
   std::shared_ptr<Budget> b = MakeQueryBudget(q);
   span.AttachBudget(b);
   ScopedBudget scope(rt.engine, std::move(b));
   Result<bool> r = rt.engine->InfersFormula(f);
   DrainHcfCertificates();
-  return ToTrilean(r);
+  return r;
 }
 
-Result<Trilean> Reasoner::HasModel(SemanticsKind kind, const QueryOptions& q) {
+Result<bool> Reasoner::HasModelBody(SemanticsKind kind,
+                                    const QueryOptions& q) {
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "HasModel",
                  kind);
   Routed rt = RouteHasModel(kind);
-  if (rt.engine == nullptr) {
-    return ToTrilean(fast_engine()->HasModel(rt.path));
-  }
+  if (rt.engine == nullptr) return fast_engine()->HasModel(rt.path);
   ScopedTrace traced(rt.engine, q.trace, trace_);
   std::shared_ptr<Budget> b = MakeQueryBudget(q);
   span.AttachBudget(b);
   ScopedBudget scope(rt.engine, std::move(b));
   Result<bool> r = rt.engine->HasModel();
   DrainHcfCertificates();
-  return ToTrilean(r);
+  return r;
 }
 
-Result<ModelsAnswer> Reasoner::Models(SemanticsKind kind, int64_t cap,
-                                      const QueryOptions& q) {
+Result<std::vector<Interpretation>> Reasoner::ModelsBody(
+    SemanticsKind kind, int64_t cap, const QueryOptions& q) {
   QuerySpan span(q.trace != nullptr ? q.trace : trace_, this, "Models", kind);
   Semantics* s = Get(kind);
   ScopedTrace traced(s, q.trace, trace_);
   std::shared_ptr<Budget> b = MakeQueryBudget(q);
   span.AttachBudget(b);
   ScopedBudget scope(s, std::move(b));
-  Result<std::vector<Interpretation>> r = s->Models(cap);
-  ModelsAnswer out;
-  if (r.ok()) {
-    out.models = std::move(*r);
-    return out;
-  }
-  if (r.status().IsBudgetExhaustion()) {
-    // Anytime payload: each model the engine had already collected IS an
-    // intended model; only the enumeration was cut short.
-    out.models = s->TakePartialModels();
-    out.truncated = true;
-    out.reason = r.status();
-    return out;
-  }
-  return r.status();
+  return s->Models(cap);
 }
 
 Result<Trilean> Reasoner::InfersCredulously(SemanticsKind kind,

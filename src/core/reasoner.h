@@ -184,7 +184,7 @@ class Reasoner {
 
   /// Configures the <P;Q;Z> partition used by CCWA and ECWA, given atom
   /// names. Unlisted atoms fall into the part named by `rest` ('p', 'q' or
-  /// 'z'). Resets the cached CCWA/ECWA engines.
+  /// 'z'; InvalidArgument otherwise). Resets the cached CCWA/ECWA engines.
   Status SetPartition(const std::vector<std::string>& p_atoms,
                       const std::vector<std::string>& q_atoms,
                       const std::vector<std::string>& z_atoms,
@@ -295,6 +295,18 @@ class Reasoner {
   Routed RouteLiteral(SemanticsKind kind, Lit l);
   Routed RouteFormula(SemanticsKind kind, const Formula& f);
   Routed RouteHasModel(SemanticsKind kind);
+
+  /// The one parse → route → span → budget body of each query task. The
+  /// unbudgeted entry points pass QueryOptions{} (no budget, reasoner
+  /// trace); the budgeted ones map the result through ToTrilean.
+  Result<bool> InfersLiteralBody(SemanticsKind kind, std::string_view literal,
+                                 const QueryOptions& q);
+  Result<bool> InfersFormulaBody(SemanticsKind kind, std::string_view formula,
+                                 const QueryOptions& q);
+  Result<bool> HasModelBody(SemanticsKind kind, const QueryOptions& q);
+  Result<std::vector<Interpretation>> ModelsBody(SemanticsKind kind,
+                                                 int64_t cap,
+                                                 const QueryOptions& q);
 
   /// The one batched-inference pipeline, parameterized by mode (universal
   /// vs existential pass over the shared banks); AnswerBatch and

@@ -469,6 +469,9 @@ MinimalEngine::SharedExhaustedProjections(const Partition& pqz) {
 int MinimalEngine::EnumerateAllMinimalModels(
     const Partition& pqz, int64_t cap,
     const std::function<bool(const Interpretation&)>& cb) {
+  // With Z = ∅ a minimal projection is a whole model and its only
+  // completion: emit the projections themselves, no re-solve per model.
+  if (pqz.z.TrueCount() == 0) return EnumerateMinimalProjections(pqz, cap, cb);
   if (interrupted_) return 0;
   OpScope op(this, "minimal.enumerate_all_models");
   // Outer loop over (memoized) minimal projections; inner loop over
@@ -500,14 +503,13 @@ int MinimalEngine::EnumerateAllMinimalModels(
             stop = true;
             break;
           }
-          // Exclude exactly this Z-completion.
+          // Exclude exactly this Z-completion (nonempty: Z ≠ ∅ here).
           std::vector<Lit> diff;
           for (Var v = 0; v < db_.num_vars(); ++v) {
             if (pqz.z.Contains(v)) {
               diff.push_back(m.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
             }
           }
-          if (diff.empty()) break;  // no Z atoms: one completion only
           ctx.AddClause(std::move(diff));
         }
         return !stop;

@@ -236,7 +236,8 @@ class MinimalEngine {
 
   /// Enumerates *all* <P;Z>-minimal models, i.e. every Z-completion of
   /// every minimal projection. Exponential in |Z| in the worst case; used
-  /// by cross-checks and small-instance tooling.
+  /// by cross-checks and small-instance tooling. With Z = ∅ it is
+  /// EnumerateMinimalProjections (same models, order and SAT calls).
   int EnumerateAllMinimalModels(
       const Partition& pqz, int64_t cap,
       const std::function<bool(const Interpretation&)>& cb);

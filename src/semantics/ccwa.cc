@@ -15,18 +15,19 @@ CcwaSemantics::CcwaSemantics(const Database& db, Partition pqz,
 Result<bool> CcwaSemantics::HasModel() {
   // Every <P;Z>-minimal model satisfies the augmentation, so CCWA(DB) is
   // nonempty exactly when DB is satisfiable.
-  if (db().IsPositive()) return true;
-  bool has = engine()->HasModel();
-  if (engine()->interrupted()) return engine()->interrupt_status();
-  return has;
+  return MinimalHasModel();
 }
 
 Result<bool> CcwaSemantics::InfersLiteral(Lit l) {
   if (l.negative() && pqz_.p.Contains(l.var())) {
-    // CCWA |= ¬x (x ∈ P) iff MM(DB;P;Z) |= ¬x.
-    bool entailed = engine()->MinimalEntails(FormulaNode::MakeLit(l), pqz_);
-    if (engine()->interrupted()) return engine()->interrupt_status();
-    return entailed;
+    // CCWA |= ¬x (x ∈ P) iff MM(DB;P;Z) |= ¬x: if so, ¬x is part of the
+    // augmentation; if x is true in some <P;Z>-minimal model M, then M is
+    // itself a CCWA model containing x. The same memoized question as
+    // ECWA's ¬x.
+    DD_ASSIGN_OR_RETURN(
+        std::optional<Interpretation> ce,
+        MinimalCounterexample(FormulaNode::MakeLit(l), pqz_));
+    return !ce.has_value();
   }
   return InfersFormula(FormulaNode::MakeLit(l));
 }

@@ -5,8 +5,9 @@
 //
 //   CCWA(DB) = M( DB ∪ {¬x : x ∈ P, MM(DB;P;Z) |= ¬x} )
 //
-// GCWA is the special case Q = Z = ∅. Complexity: literal and formula
-// inference Π₂ᵖ-hard and in PᶺΣ₂ᵖ[O(log n)]; model existence as GCWA.
+// GCWA is the special case Q = Z = ∅ (GcwaSemantics, semantics/gcwa.h,
+// only fixes that partition). Complexity: literal and formula inference
+// Π₂ᵖ-hard and in PᶺΣ₂ᵖ[O(log n)]; model existence as GCWA.
 #ifndef DD_SEMANTICS_CCWA_H_
 #define DD_SEMANTICS_CCWA_H_
 
@@ -26,7 +27,8 @@ class CcwaSemantics : public ClosedWorldSemantics {
 
   const Partition& partition() const { return pqz_; }
 
-  /// As GCWA: consistency equals classical satisfiability.
+  /// Consistency equals classical satisfiability: O(1) for positive DBs,
+  /// one SAT call otherwise.
   Result<bool> HasModel() override;
 
   /// Negative literals over P short-circuit through the free-atom query.

@@ -193,24 +193,12 @@ Result<std::vector<Interpretation>> DsmSemantics::Models(int64_t cap) {
   return out;
 }
 
-Result<bool> DsmSemantics::InfersFormula(const Formula& f) {
-  DD_ASSIGN_OR_RETURN(std::optional<Interpretation> ce,
-                      FindCounterexample(f));
-  return !ce.has_value();
-}
-
 Result<std::optional<Interpretation>> DsmSemantics::FindCounterexample(
     const Formula& f) {
+  // DSM = MM: the counterexample-guided entailment EGCWA asks, with no
+  // stable-model enumeration.
+  if (!has_negation_) return MinimalCounterexample(f, all_);
   std::optional<Interpretation> out;
-  if (!has_negation_) {
-    // DSM = MM: the counterexample-guided entailment loop EGCWA uses, with
-    // no stable-model enumeration.
-    Interpretation witness;
-    bool entailed = engine_->MinimalEntails(f, all_, &witness);
-    if (engine_->interrupted()) return engine_->interrupt_status();
-    if (!entailed) out = std::move(witness);
-    return out;
-  }
   DD_RETURN_IF_ERROR(ForEachStable([&](const Interpretation& m) {
     if (!f->Eval(m)) {
       out = m;
@@ -222,13 +210,8 @@ Result<std::optional<Interpretation>> DsmSemantics::FindCounterexample(
 }
 
 Result<bool> DsmSemantics::HasModel() {
-  if (db_.IsPositive()) return true;  // DSM = MM for positive DBs
-  if (!has_negation_) {
-    // DSM = MM, which is nonempty iff DB has a model at all.
-    bool sat = engine_->HasModel();
-    if (engine_->interrupted()) return engine_->interrupt_status();
-    return sat;
-  }
+  // DSM = MM without negation: O(1) when positive, else satisfiability.
+  if (!has_negation_) return MinimalHasModel();
   bool found = false;
   DD_RETURN_IF_ERROR(ForEachStable([&](const Interpretation&) {
     found = true;

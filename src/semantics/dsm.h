@@ -52,9 +52,7 @@ class DsmSemantics : public Semantics {
   /// Enumerates minimal models of DB and filters by stability.
   Result<std::vector<Interpretation>> Models(int64_t cap = -1) override;
 
-  Result<bool> InfersFormula(const Formula& f) override;
-
-  /// A stable model violating f, if any.
+  /// A stable model violating f, if any (InfersFormula is "none exists").
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 

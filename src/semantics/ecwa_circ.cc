@@ -13,29 +13,12 @@ EcwaSemantics::EcwaSemantics(const Database& db, Partition pqz,
   DD_CHECK(pqz_.num_vars() == db.num_vars());
 }
 
-Result<bool> EcwaSemantics::InfersFormula(const Formula& f) {
-  bool entails = engine_->MinimalEntails(f, pqz_);
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  return entails;
-}
-
 Result<std::optional<Interpretation>> EcwaSemantics::FindCounterexample(
     const Formula& f) {
-  Interpretation witness;
-  bool entails = engine_->MinimalEntails(f, pqz_, &witness);
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  if (entails) {
-    return std::optional<Interpretation>();
-  }
-  return std::optional<Interpretation>(witness);
+  return MinimalCounterexample(f, pqz_);
 }
 
-Result<bool> EcwaSemantics::HasModel() {
-  if (db_.IsPositive()) return true;
-  bool has = engine_->HasModel();
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  return has;
-}
+Result<bool> EcwaSemantics::HasModel() { return MinimalHasModel(); }
 
 Result<std::vector<Interpretation>> EcwaSemantics::Models(int64_t cap) {
   if (cap < 0) cap = opts_.max_models;
@@ -52,15 +35,51 @@ Result<std::vector<Interpretation>> EcwaSemantics::Models(int64_t cap) {
                                        return true;
                                      });
   if (engine_->interrupted()) {
+    // Anytime payload: every collected model IS <P;Z>-minimal; the
+    // enumeration is merely truncated by the budget.
     partial_models_ = std::move(out);
     return engine_->interrupt_status();
   }
   if (overflow) {
     partial_models_ = std::move(out);
     return Status::ResourceExhausted(StrFormat(
-        "more than %lld ECWA models", static_cast<long long>(cap)));
+        "more than %lld %s models", static_cast<long long>(cap),
+        SemanticsKindName(kind())));
   }
   return out;
+}
+
+Result<std::shared_ptr<const std::vector<Interpretation>>>
+EcwaSemantics::SharedModels(int64_t cap) {
+  // With Z ≠ ∅ a projection stands for several Z-completions: copy.
+  if (pqz_.z.TrueCount() > 0) return Semantics::SharedModels(cap);
+  if (cap < 0) cap = opts_.max_models;
+  // Drive the (memoized) projection stream to exhaustion — or to cap+1,
+  // which proves overflow — WITHOUT collecting: on success the stream
+  // itself is the model set and we alias it.
+  int64_t seen = 0;
+  bool overflow = false;
+  engine_->EnumerateMinimalProjections(pqz_, cap + 1,
+                                       [&](const Interpretation&) {
+                                         if (seen >= cap) {
+                                           overflow = true;
+                                           return false;
+                                         }
+                                         ++seen;
+                                         return true;
+                                       });
+  if (engine_->interrupted()) return engine_->interrupt_status();
+  if (overflow) {
+    return Status::ResourceExhausted(StrFormat(
+        "more than %lld %s models", static_cast<long long>(cap),
+        SemanticsKindName(kind())));
+  }
+  std::shared_ptr<const std::vector<Interpretation>> shared =
+      engine_->SharedExhaustedProjections(pqz_);
+  if (shared != nullptr) return shared;
+  // Reached only when the stream is not exhausted or was evicted from the
+  // engine's projection store; copy via the default.
+  return Semantics::SharedModels(cap);
 }
 
 bool EcwaSemantics::IsCircumscriptionModel(const Interpretation& m) {

@@ -3,8 +3,9 @@
 //
 //   ECWA_{P;Z}(DB) = MM(DB;P;Z) = M(Circ(DB;P;Z))
 //
-// EGCWA is the case Q = Z = ∅. Complexity: literal and formula inference
-// Π₂ᵖ-complete; model existence as EGCWA.
+// EGCWA is the case Q = Z = ∅ (EgcwaSemantics, semantics/egcwa.h, fixes
+// that partition). Complexity: literal and formula inference Π₂ᵖ-complete;
+// model existence as EGCWA.
 //
 // The class carries both names: EcwaSemantics reasons over the
 // <P;Z>-minimal models; IsCircumscriptionModel() exposes the circumscription
@@ -28,17 +29,27 @@ class EcwaSemantics : public Semantics {
 
   const Partition& partition() const { return pqz_; }
 
-  /// True in every <P;Z>-minimal model.
-  Result<bool> InfersFormula(const Formula& f) override;
-
-  /// A <P;Z>-minimal model violating f, if any.
+  /// A <P;Z>-minimal model violating f, if any (counterexample-guided,
+  /// Π₂ᵖ-faithful); InfersFormula is "none exists".
   Result<std::optional<Interpretation>> FindCounterexample(
       const Formula& f) override;
 
+  /// O(1) for positive databases; one SAT call otherwise.
   Result<bool> HasModel() override;
 
   /// Every <P;Z>-minimal model, including Z-completions.
   Result<std::vector<Interpretation>> Models(int64_t cap = -1) override;
+
+  /// Zero-copy model handle when Z = ∅: the model set then IS the engine's
+  /// memoized projection stream, so once enumeration exhausts the stream
+  /// this aliases its storage instead of re-materializing — the stream,
+  /// the batch layer's in-flight bank and the bank store then share ONE
+  /// copy (safe: exhausted streams are frozen, and stream eviction only
+  /// drops the engine's reference). Falls back to the copying default when
+  /// Z ≠ ∅ or the stream is unavailable (evicted). Same cap/overflow
+  /// conventions as Models().
+  Result<std::shared_ptr<const std::vector<Interpretation>>> SharedModels(
+      int64_t cap = -1) override;
 
   /// Circumscription view: is `m` a model of Circ(DB;P;Z)? By Lifschitz'
   /// theorem this holds iff m ∈ MM(DB;P;Z); one SAT call.

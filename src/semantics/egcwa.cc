@@ -3,101 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace dd {
-
-EgcwaSemantics::EgcwaSemantics(const Database& db,
-                               const SemanticsOptions& opts,
-                               std::shared_ptr<MinimalEngine> view)
-    : Semantics(db, opts, std::move(view)),
-      all_(Partition::MinimizeAll(db.num_vars())),
-      positive_(db.IsPositive()) {}
-
-Result<bool> EgcwaSemantics::InfersFormula(const Formula& f) {
-  bool entails = engine_->MinimalEntails(f, all_);
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  return entails;
-}
-
-Result<std::optional<Interpretation>> EgcwaSemantics::FindCounterexample(
-    const Formula& f) {
-  Interpretation witness;
-  bool entails = engine_->MinimalEntails(f, all_, &witness);
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  if (entails) {
-    return std::optional<Interpretation>();
-  }
-  return std::optional<Interpretation>(witness);
-}
-
-Result<bool> EgcwaSemantics::HasModel() {
-  // EGCWA(DB) = MM(DB) is nonempty iff DB has any model at all (finite
-  // propositional case: every model contains a minimal one).
-  if (positive_) return true;  // Table 1's O(1) entry
-  bool has = engine_->HasModel();
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  return has;
-}
-
-Result<std::vector<Interpretation>> EgcwaSemantics::Models(int64_t cap) {
-  if (cap < 0) cap = opts_.max_models;
-  std::vector<Interpretation> out;
-  bool overflow = false;
-  engine_->EnumerateMinimalProjections(all_, cap + 1,
-                                       [&](const Interpretation& m) {
-                                         if (static_cast<int64_t>(out.size()) >=
-                                             cap) {
-                                           overflow = true;
-                                           return false;
-                                         }
-                                         out.push_back(m);
-                                         return true;
-                                       });
-  if (engine_->interrupted()) {
-    // Anytime payload: every collected model IS minimal; the enumeration
-    // is merely truncated by the budget.
-    partial_models_ = std::move(out);
-    return engine_->interrupt_status();
-  }
-  if (overflow) {
-    partial_models_ = std::move(out);
-    return Status::ResourceExhausted(StrFormat(
-        "more than %lld minimal models", static_cast<long long>(cap)));
-  }
-  return out;
-}
-
-Result<std::shared_ptr<const std::vector<Interpretation>>>
-EgcwaSemantics::SharedModels(int64_t cap) {
-  if (cap < 0) cap = opts_.max_models;
-  // Drive the (memoized) projection stream to exhaustion — or to cap+1,
-  // which proves overflow — WITHOUT collecting: on success the stream
-  // itself is the model set and we alias it.
-  int64_t seen = 0;
-  bool overflow = false;
-  engine_->EnumerateMinimalProjections(all_, cap + 1,
-                                       [&](const Interpretation&) {
-                                         if (seen >= cap) {
-                                           overflow = true;
-                                           return false;
-                                         }
-                                         ++seen;
-                                         return true;
-                                       });
-  if (engine_->interrupted()) return engine_->interrupt_status();
-  if (overflow) {
-    return Status::ResourceExhausted(StrFormat(
-        "more than %lld minimal models", static_cast<long long>(cap)));
-  }
-  std::shared_ptr<const std::vector<Interpretation>> shared =
-      engine_->SharedExhaustedProjections(all_);
-  if (shared != nullptr) return shared;
-  // Reached only when the stream is not exhausted or was evicted from the
-  // engine's projection store; copy via the default.
-  return Semantics::SharedModels(cap);
-}
 
 Result<std::vector<std::vector<Var>>> EgcwaSemantics::EntailedNegativeClauses(
     int max_size) {

@@ -4,47 +4,33 @@
 //
 //   EGCWA(DB) = MM(DB).
 //
+// EGCWA is ECWA over <V;∅;∅>: this class fixes that partition (so
+// inference, models and the zero-copy SharedModels are EcwaSemantics') and
+// adds the literal augmentation, EntailedNegativeClauses.
+//
 // Complexity: literal and formula inference Π₂ᵖ-complete; model existence
 // O(1) for positive DBs, NP-complete with integrity clauses.
 #ifndef DD_SEMANTICS_EGCWA_H_
 #define DD_SEMANTICS_EGCWA_H_
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "minimal/pqz.h"
-#include "semantics/semantics.h"
+#include "semantics/ecwa_circ.h"
 
 namespace dd {
 
-class EgcwaSemantics : public Semantics {
+class EgcwaSemantics : public EcwaSemantics {
  public:
   explicit EgcwaSemantics(const Database& db,
                           const SemanticsOptions& opts = {},
-                          std::shared_ptr<MinimalEngine> view = nullptr);
+                          std::shared_ptr<MinimalEngine> view = nullptr)
+      : EcwaSemantics(db, Partition::MinimizeAll(db.num_vars()), opts,
+                      std::move(view)) {}
 
   SemanticsKind kind() const override { return SemanticsKind::kEgcwa; }
-
-  /// True in every minimal model (counterexample-guided, Π₂ᵖ-faithful).
-  Result<bool> InfersFormula(const Formula& f) override;
-
-  /// The CEGAR loop's witness: a minimal model violating f, if any.
-  Result<std::optional<Interpretation>> FindCounterexample(
-      const Formula& f) override;
-
-  /// O(1) for positive databases; one SAT call otherwise.
-  Result<bool> HasModel() override;
-
-  /// The minimal models themselves.
-  Result<std::vector<Interpretation>> Models(int64_t cap = -1) override;
-
-  /// Zero-copy model handle: EGCWA's model set IS the engine's memoized
-  /// projection stream, so once enumeration exhausts the stream this
-  /// aliases its storage instead of re-materializing — the stream, the
-  /// batch layer's in-flight bank and the bank store then share ONE copy
-  /// (safe: exhausted streams are frozen, and stream eviction only drops
-  /// the engine's reference). Falls back to the copying default when the
-  /// stream is unavailable (evicted). Same cap/overflow
-  /// conventions as Models().
-  Result<std::shared_ptr<const std::vector<Interpretation>>> SharedModels(
-      int64_t cap = -1) override;
 
   /// The augmentation EGCWA literally performs (Yahya & Henschen): the
   /// ⊆-minimal atom sets S with |S| <= max_size such that the negative
@@ -54,11 +40,6 @@ class EgcwaSemantics : public Semantics {
   /// is exactly the singletons here.
   Result<std::vector<std::vector<Var>>> EntailedNegativeClauses(
       int max_size);
-
- private:
-  Partition all_;
-  /// Classified once at construction; HasModel() consults it per call.
-  bool positive_;
 };
 
 }  // namespace dd

@@ -3,6 +3,10 @@
 //   GCWA(DB) = { M model of DB : M |= ¬x for every atom x that is false in
 //                all minimal models of DB }
 //
+// GCWA is CCWA over <V;∅;∅>: this class only fixes the partition, so every
+// procedure (¬x as MinimalEntails(¬x), the augmented theory, the Section
+// 3.1 counting algorithm) is CcwaSemantics'.
+//
 // Complexity (paper): literal inference Π₂ᵖ-complete; formula inference
 // Π₂ᵖ-hard and in PᶺΣ₂ᵖ[O(log n)]; model existence O(1) for positive DBs,
 // NP-complete with integrity clauses (= satisfiability of DB, since every
@@ -10,36 +14,23 @@
 #ifndef DD_SEMANTICS_GCWA_H_
 #define DD_SEMANTICS_GCWA_H_
 
-#include "semantics/closed_world_base.h"
-#include "semantics/counting_inference.h"
+#include <memory>
+#include <utility>
+
+#include "minimal/pqz.h"
+#include "semantics/ccwa.h"
 
 namespace dd {
 
-class GcwaSemantics : public ClosedWorldSemantics {
+class GcwaSemantics : public CcwaSemantics {
  public:
   explicit GcwaSemantics(const Database& db,
                          const SemanticsOptions& opts = {},
-                         std::shared_ptr<MinimalEngine> view = nullptr);
+                         std::shared_ptr<MinimalEngine> view = nullptr)
+      : CcwaSemantics(db, Partition::MinimizeAll(db.num_vars()), opts,
+                      std::move(view)) {}
 
   SemanticsKind kind() const override { return SemanticsKind::kGcwa; }
-
-  /// ¬x is inferred iff no minimal model contains x (one Σ₂ᵖ-style query);
-  /// positive literals go through the augmented theory.
-  Result<bool> InfersLiteral(Lit l) override;
-
-  /// O(1) for positive databases (they always have minimal models); one
-  /// SAT call otherwise.
-  Result<bool> HasModel() override;
-
-  /// The paper's Section 3.1 algorithm: O(log |V|) Σ₂ᵖ-oracle calls plus a
-  /// final one. Returns the verdict together with the call count.
-  Result<CountingInferenceResult> InfersFormulaViaCounting(const Formula& f);
-
- protected:
-  Result<Interpretation> ComputeNegatedAtoms() override;
-
- private:
-  Partition all_;
 };
 
 }  // namespace dd

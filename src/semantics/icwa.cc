@@ -72,8 +72,14 @@ Result<bool> IcwaSemantics::IsIcwaModel(const Interpretation& m) {
   return true;
 }
 
-Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
+Result<std::optional<Interpretation>> IcwaSemantics::FindCounterexample(
+    const Formula& f) {
   DD_RETURN_IF_ERROR(EnsureStratified());
+  // One stratum: ICWA = ECWA_{V;∅}(DB+) = MM(DB+), the memoized question
+  // EGCWA asks (DB+ = DB here, so a Reasoner's view answers it once).
+  if (stratum_partitions_.size() == 1) {
+    return MinimalCounterexample(f, stratum_partitions_[0]);
+  }
   MinimalEngine* e = engine();
   const int n = e->db().num_vars();  // DB+
   // Counterexample-guided search for an ICWA model violating F. The
@@ -99,7 +105,7 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
     // kUnknown (deadline / conflict budget / injected fault) must not be
     // read as kUnsat ("inferred").
     if (e->interrupted()) return e->interrupt_status();
-    if (r != SolveResult::kSat) return true;
+    if (r != SolveResult::kSat) return std::optional<Interpretation>();
     Interpretation m = cand.Model(n);
 
     int failing = -1;
@@ -111,7 +117,7 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
         break;
       }
     }
-    if (failing < 0) return false;  // m is an ICWA counterexample
+    if (failing < 0) return std::optional<Interpretation>(std::move(m));
 
     const Partition& pi = stratum_partitions_[static_cast<size_t>(failing)];
     Interpretation mm = e->Minimize(m, pi);
@@ -155,7 +161,8 @@ Result<bool> IcwaSemantics::InfersFormula(const Formula& f) {
           block.push_back(mm.Contains(v) ? Lit::Neg(v) : Lit::Pos(v));
         }
       }
-      if (block.empty()) return true;  // the region is everything
+      // The region is everything: no counterexample anywhere.
+      if (block.empty()) return std::optional<Interpretation>();
     }
     cand.AddClause(std::move(block));
   }

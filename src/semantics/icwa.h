@@ -50,7 +50,12 @@ class IcwaSemantics : public Semantics {
   /// (r SAT calls.)
   Result<bool> IsIcwaModel(const Interpretation& m);
 
-  Result<bool> InfersFormula(const Formula& f) override;
+  /// An ICWA model violating f, if any (InfersFormula is "none exists").
+  /// A single stratum is MM(DB+): the engine's memoized MinimalEntails.
+  /// Otherwise a counterexample-guided search: candidates are models of
+  /// DB+ ∧ ¬F; one failing a stratum's minimality has its region blocked.
+  Result<std::optional<Interpretation>> FindCounterexample(
+      const Formula& f) override;
 
   /// O(1): a stratified database always has ICWA models (paper Section 4);
   /// the method fails only when no stratification exists.

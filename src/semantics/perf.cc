@@ -136,26 +136,14 @@ Result<std::vector<Interpretation>> PerfSemantics::ModelsByStrataIteration(
   return out;
 }
 
-Result<bool> PerfSemantics::InfersFormula(const Formula& f) {
-  DD_ASSIGN_OR_RETURN(std::optional<Interpretation> ce,
-                      FindCounterexample(f));
-  return !ce.has_value();
-}
-
 Result<std::optional<Interpretation>> PerfSemantics::FindCounterexample(
     const Formula& f) {
   DD_RETURN_IF_ERROR(CheckSupported());
-  std::optional<Interpretation> out;
-  if (!db_.HasNegation()) {
-    // No strict priorities, so PERF = MM: the counterexample-guided
-    // entailment loop EGCWA uses, with no minimal-model enumeration.
-    Interpretation witness;
-    bool entailed = engine_->MinimalEntails(f, all_, &witness);
-    if (engine_->interrupted()) return engine_->interrupt_status();
-    if (!entailed) out = std::move(witness);
-    return out;
-  }
+  // No strict priorities without negation, so PERF = MM: the
+  // counterexample-guided entailment EGCWA asks, no enumeration.
+  if (!db_.HasNegation()) return MinimalCounterexample(f, all_);
   // With negation, search the minimal models (perfect ⊆ minimal).
+  std::optional<Interpretation> out;
   Status inner = Status::OK();
   int64_t candidates = 0;
   engine_->EnumerateMinimalProjections(

@@ -50,12 +50,11 @@ class PerfSemantics : public Semantics {
   Result<std::vector<Interpretation>> ModelsByStrataIteration(
       int64_t cap = -1);
 
-  Result<bool> InfersFormula(const Formula& f) override;
   Result<bool> HasModel() override;
 
-  /// A perfect model violating f, if any. Without negation PERF = MM and
-  /// the engine's MinimalEntails decides it; opts.max_candidates does not
-  /// apply there. With negation, minimal models are enumerated and each one
+  /// A perfect model violating f, if any (InfersFormula is "none
+  /// exists"). Without negation PERF = MM and the engine's MinimalEntails
+  /// decides it; opts.max_candidates does not apply there. With negation, minimal models are enumerated and each one
   /// violating f is tested with IsPerfect; ResourceExhausted after
   /// opts.max_candidates minimal models.
   Result<std::optional<Interpretation>> FindCounterexample(

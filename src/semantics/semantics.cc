@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "minimal/pqz.h"
 #include "semantics/ccwa.h"
 #include "semantics/cwa.h"
 #include "semantics/ddr.h"
@@ -90,8 +89,30 @@ oracle::SessionStats Semantics::session_stats() const {
   return out;
 }
 
+Result<bool> Semantics::InfersFormula(const Formula& f) {
+  DD_ASSIGN_OR_RETURN(std::optional<Interpretation> ce,
+                      FindCounterexample(f));
+  return !ce.has_value();
+}
+
 Result<bool> Semantics::InfersLiteral(Lit l) {
   return InfersFormula(FormulaNode::MakeLit(l));
+}
+
+Result<std::optional<Interpretation>> Semantics::MinimalCounterexample(
+    const Formula& f, const Partition& pqz) {
+  Interpretation witness;
+  bool entailed = engine_->MinimalEntails(f, pqz, &witness);
+  if (engine_->interrupted()) return engine_->interrupt_status();
+  if (entailed) return std::optional<Interpretation>();
+  return std::optional<Interpretation>(std::move(witness));
+}
+
+Result<bool> Semantics::MinimalHasModel() {
+  if (db_.IsPositive()) return true;
+  bool has = engine_->HasModel();
+  if (engine_->interrupted()) return engine_->interrupt_status();
+  return has;
 }
 
 Result<bool> Semantics::InfersCredulously(const Formula& f) {
@@ -120,7 +141,12 @@ Result<std::optional<Interpretation>> Semantics::FindCounterexample(
 std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
                                          const Database& db,
                                          const SemanticsOptions& opts,
-                                         std::shared_ptr<MinimalEngine> view) {
+                                         std::shared_ptr<MinimalEngine> view,
+                                         const Partition* partition) {
+  auto pqz = [&] {
+    return partition != nullptr ? *partition
+                                : Partition::MinimizeAll(db.num_vars());
+  };
   switch (kind) {
     case SemanticsKind::kCwa:
       return std::make_unique<CwaSemantics>(db, opts, std::move(view));
@@ -129,11 +155,11 @@ std::unique_ptr<Semantics> MakeSemantics(SemanticsKind kind,
     case SemanticsKind::kEgcwa:
       return std::make_unique<EgcwaSemantics>(db, opts, std::move(view));
     case SemanticsKind::kCcwa:
-      return std::make_unique<CcwaSemantics>(
-          db, Partition::MinimizeAll(db.num_vars()), opts, std::move(view));
+      return std::make_unique<CcwaSemantics>(db, pqz(), opts,
+                                             std::move(view));
     case SemanticsKind::kEcwa:
-      return std::make_unique<EcwaSemantics>(
-          db, Partition::MinimizeAll(db.num_vars()), opts, std::move(view));
+      return std::make_unique<EcwaSemantics>(db, pqz(), opts,
+                                             std::move(view));
     case SemanticsKind::kDdr:
       return std::make_unique<DdrSemantics>(db, opts, std::move(view));
     case SemanticsKind::kPws:

@@ -26,6 +26,7 @@
 #include "logic/formula.h"
 #include "logic/interpretation.h"
 #include "minimal/minimal_models.h"
+#include "minimal/pqz.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -119,11 +120,13 @@ class Semantics {
   virtual SemanticsKind kind() const = 0;
   std::string name() const { return SemanticsKindName(kind()); }
 
-  /// Skeptical inference of a propositional formula.
-  virtual Result<bool> InfersFormula(const Formula& f) = 0;
+  /// Skeptical inference of a propositional formula. Default: no
+  /// counterexample exists (FindCounterexample). The closed-world family,
+  /// DDR, PWS, PDSM and ICWA's stratum loop have their own procedures.
+  virtual Result<bool> InfersFormula(const Formula& f);
 
   /// Skeptical inference of a literal. Default delegates to InfersFormula;
-  /// semantics with cheaper literal paths (DDR, PWS, GCWA) override it.
+  /// semantics with cheaper literal paths (DDR, PWS, CCWA/GCWA) override it.
   virtual Result<bool> InfersLiteral(Lit l);
 
   /// Does the database possess a model under this semantics?
@@ -139,8 +142,9 @@ class Semantics {
   /// batch/model_bank_store.h). The default moves the Models(cap) result
   /// into a freshly allocated handle — still a single materialization.
   /// Engines whose enumeration is memoized override it to alias internal
-  /// storage (EGCWA hands out its exhausted projection stream), so the
-  /// stream, the in-flight bank and the store all reference ONE copy.
+  /// storage (ECWA with Z = ∅, hence EGCWA, hands out its exhausted
+  /// projection stream), so the stream, the in-flight bank and the store
+  /// all reference ONE copy.
   /// Same cap/overflow conventions as Models().
   virtual Result<std::shared_ptr<const std::vector<Interpretation>>>
   SharedModels(int64_t cap = -1);
@@ -216,6 +220,19 @@ class Semantics {
   const SemanticsOptions& options() const { return opts_; }
   MinimalEngine* engine() const { return engine_.get(); }
 
+  /// The MM(DB;P;Z) counterexample every minimal-model semantics asks
+  /// (ECWA/EGCWA, CCWA/GCWA's ¬x, PERF and DSM without negation, ICWA on a
+  /// single stratum): a <P;Z>-minimal model of the engine's database
+  /// violating `f`, or nullopt when MM(DB;P;Z) |= f. One memoized
+  /// MinimalEntails on the engine; an interrupt surfaces as its Status.
+  Result<std::optional<Interpretation>> MinimalCounterexample(
+      const Formula& f, const Partition& pqz);
+
+  /// Existence of a minimal model: O(1) for positive databases (Table 1),
+  /// otherwise classical satisfiability (one memoized SAT call), since
+  /// every model of a finite database contains a minimal one.
+  Result<bool> MinimalHasModel();
+
   Database db_;
   /// Carries the current budget (SetBudget), so helper solvers built from
   /// it inherit the query's limits.
@@ -227,15 +244,16 @@ class Semantics {
   std::vector<Interpretation> partial_models_;
 };
 
-/// Factory covering the semantics that need no extra parameters
-/// (CCWA/ECWA require a partition and have their own constructors; the
-/// factory instantiates them with the all-minimized partition, under which
-/// CCWA degenerates to GCWA and ECWA to EGCWA). `view`, when non-null, is
-/// a MinimalEngine over `db` that the semantics borrows instead of
-/// creating a private one (core/Reasoner shares one per database view).
+/// The one factory for every semantics. `view`, when non-null, is a
+/// MinimalEngine over `db` that the semantics borrows instead of creating
+/// a private one (core/Reasoner shares one per database view).
+/// `partition`, when non-null, is the <P;Q;Z> of CCWA/ECWA (ignored by the
+/// other kinds); null means the all-minimized partition, under which CCWA
+/// is GCWA and ECWA is EGCWA.
 std::unique_ptr<Semantics> MakeSemantics(
     SemanticsKind kind, const Database& db, const SemanticsOptions& opts = {},
-    std::shared_ptr<MinimalEngine> view = nullptr);
+    std::shared_ptr<MinimalEngine> view = nullptr,
+    const Partition* partition = nullptr);
 
 }  // namespace dd
 

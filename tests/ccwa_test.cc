@@ -115,6 +115,8 @@ TEST(Ccwa, FormulaInferenceAndCountingAgree) {
 }
 
 TEST(Ccwa, DegeneratePartitionIsGcwa) {
+  // GcwaSemantics is CCWA over <V;∅;∅>; both must realize the paper's
+  // GCWA definition, checked against the brute-force GCWA model set.
   Rng rng(464);
   for (int iter = 0; iter < 40; ++iter) {
     DdbConfig cfg;
@@ -123,11 +125,24 @@ TEST(Ccwa, DegeneratePartitionIsGcwa) {
     cfg.integrity_fraction = 0.15;
     cfg.seed = rng.Next();
     Database db = RandomDdb(cfg);
+    const std::vector<Interpretation> expected = brute::GcwaModels(db);
     CcwaSemantics ccwa(db, Partition::MinimizeAll(db.num_vars()));
     GcwaSemantics gcwa(db);
+    EXPECT_EQ(gcwa.kind(), SemanticsKind::kGcwa);
+    EXPECT_EQ(gcwa.partition().p.TrueCount(), db.num_vars());
     Formula f = testing::RandomFormula(&rng, db.num_vars(), 2);
-    ASSERT_EQ(*ccwa.InfersFormula(f), *gcwa.InfersFormula(f));
-    ASSERT_EQ(*ccwa.HasModel(), *gcwa.HasModel());
+    const Var x = static_cast<Var>(rng.Below(5));
+    for (CcwaSemantics* s : {&ccwa, static_cast<CcwaSemantics*>(&gcwa)}) {
+      ASSERT_EQ(*s->InfersFormula(f), brute::Infers(expected, f))
+          << db.ToString();
+      ASSERT_EQ(*s->InfersLiteral(Lit::Neg(x)),
+                brute::Infers(expected, FormulaNode::MakeLit(Lit::Neg(x))))
+          << db.ToString();
+      ASSERT_EQ(*s->HasModel(), !expected.empty()) << db.ToString();
+      auto models = s->Models();
+      ASSERT_TRUE(models.ok());
+      ASSERT_EQ(ModelSet(*models), ModelSet(expected)) << db.ToString();
+    }
   }
 }
 

@@ -1,3 +1,5 @@
+#include <memory>
+
 #include "core/brute_force.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
@@ -204,18 +206,49 @@ TEST(Ecwa, CircumscriptionViewAgrees) {
   }
 }
 
-TEST(Ecwa, DegeneratePartitionEqualsEgcwa) {
+TEST(Ecwa, SharedModelsAliasTheProjectionStreamWithoutZ) {
+  // Over <V;∅;∅> (ECWA there IS EGCWA) the model set is the engine's
+  // memoized projection stream: SharedModels hands out that very vector.
+  // With Z ≠ ∅ a projection stands for several Z-completions, so the
+  // handle is a copy of Models().
   Rng rng(555);
   for (int iter = 0; iter < 40; ++iter) {
     DdbConfig cfg;
     cfg.num_vars = 5;
     cfg.num_clauses = 6;
+    cfg.integrity_fraction = 0.15;
     cfg.seed = rng.Next();
     Database db = RandomDdb(cfg);
-    EcwaSemantics ecwa(db, Partition::MinimizeAll(db.num_vars()));
-    EgcwaSemantics egcwa(db);
-    Formula f = testing::RandomFormula(&rng, db.num_vars(), 2);
-    ASSERT_EQ(*ecwa.InfersFormula(f), *egcwa.InfersFormula(f));
+    const Partition all = Partition::MinimizeAll(db.num_vars());
+    for (bool as_egcwa : {false, true}) {
+      auto engine = std::make_shared<MinimalEngine>(db);
+      std::unique_ptr<EcwaSemantics> s =
+          as_egcwa ? std::make_unique<EgcwaSemantics>(db, SemanticsOptions{},
+                                                      engine)
+                   : std::make_unique<EcwaSemantics>(db, all,
+                                                     SemanticsOptions{},
+                                                     engine);
+      auto shared = s->SharedModels();
+      ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+      std::shared_ptr<const std::vector<Interpretation>> stream =
+          engine->SharedExhaustedProjections(all);
+      ASSERT_NE(stream, nullptr) << db.ToString();
+      EXPECT_EQ(shared->get(), stream.get()) << db.ToString();
+      EXPECT_EQ(ModelSet(**shared), ModelSet(brute::MinimalModels(db)))
+          << db.ToString();
+    }
+
+    Partition pqz = RandomPartition(&rng, db.num_vars());
+    pqz.p.Erase(0);
+    pqz.q.Erase(0);
+    pqz.z.Insert(0);
+    auto engine = std::make_shared<MinimalEngine>(db);
+    EcwaSemantics ecwa(db, pqz, SemanticsOptions{}, engine);
+    auto shared = ecwa.SharedModels();
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    EXPECT_NE(shared->get(), engine->SharedExhaustedProjections(pqz).get());
+    EXPECT_EQ(ModelSet(**shared), ModelSet(brute::PqzMinimalModels(db, pqz)))
+        << db.ToString();
   }
 }
 

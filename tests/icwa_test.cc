@@ -3,6 +3,7 @@
 #include "gtest/gtest.h"
 #include "semantics/egcwa.h"
 #include "semantics/icwa.h"
+#include "strat/stratifier.h"
 #include "tests/test_util.h"
 
 namespace dd {
@@ -93,6 +94,38 @@ TEST(Icwa, SingleStratumInferenceMatchesBruteForce) {
     ASSERT_EQ(*got, brute::Infers(brute::IcwaModels(db), f))
         << db.ToString() << "\nF = " << f->ToString(db.vocabulary());
   }
+}
+
+TEST(Icwa, TwoStrataRunTheStratumLoop) {
+  // Two strata: ICWA is not MM(DB+), so inference and counterexamples come
+  // from the stratum candidate loop (which runs no MinimalEntails CEGAR
+  // step) and must still match brute force.
+  Rng rng(336);
+  int checked = 0;
+  for (int iter = 0; iter < 200 && checked < 60; ++iter) {
+    Database db = RandomStratifiedDdb(5 + static_cast<int>(rng.Below(2)),
+                                      5 + static_cast<int>(rng.Below(6)), 2,
+                                      0.5, rng.Next());
+    auto strat = Stratify(db);
+    ASSERT_TRUE(strat.ok());
+    if (strat->num_strata != 2) continue;
+    ++checked;
+    const std::vector<Interpretation> expected = brute::IcwaModels(db);
+    IcwaSemantics icwa(db);
+    Formula f = testing::RandomFormula(&rng, db.num_vars(), 3);
+    auto inferred = icwa.InfersFormula(f);
+    ASSERT_TRUE(inferred.ok()) << inferred.status().ToString();
+    ASSERT_EQ(*inferred, brute::Infers(expected, f)) << db.ToString();
+    auto ce = icwa.FindCounterexample(f);
+    ASSERT_TRUE(ce.ok()) << ce.status().ToString();
+    ASSERT_EQ(ce->has_value(), !*inferred) << db.ToString();
+    if (ce->has_value()) {
+      EXPECT_FALSE(f->Eval(**ce)) << db.ToString();
+      EXPECT_TRUE(ModelSet(expected).count(**ce) > 0) << db.ToString();
+    }
+    EXPECT_EQ(icwa.stats().cegar_iterations, 0) << db.ToString();
+  }
+  EXPECT_GE(checked, 30);
 }
 
 TEST(Icwa, IsIcwaModelAgreesWithBruteForce) {

@@ -128,6 +128,42 @@ TEST(MinimalEngine, EnumerateAllPqzMinimalMatchesBruteForce) {
   }
 }
 
+TEST(MinimalEngine, EnumerateAllWithoutZIsTheProjectionStream) {
+  // With Z = ∅ a minimal projection is a whole model and its only
+  // completion: EnumerateAllMinimalModels emits the projection stream
+  // itself — the same models in the same order for the same SAT calls as
+  // EnumerateMinimalProjections on a fresh engine, no re-solve per model.
+  Rng rng(999);
+  for (int iter = 0; iter < 120; ++iter) {
+    Database db = RandomTestDb(&rng, /*allow_negation=*/true);
+    Partition pqz = iter % 3 == 0 ? Partition::MinimizeAll(db.num_vars())
+                                  : RandomPartition(&rng, db.num_vars());
+    for (Var v : pqz.z.TrueAtoms()) {
+      pqz.z.Erase(v);
+      pqz.p.Insert(v);
+    }
+    MinimalEngine all_engine(db);
+    MinimalEngine proj_engine(db);
+    std::vector<Interpretation> all;
+    std::vector<Interpretation> proj;
+    all_engine.EnumerateAllMinimalModels(pqz, -1,
+                                         [&](const Interpretation& m) {
+                                           all.push_back(m);
+                                           return true;
+                                         });
+    proj_engine.EnumerateMinimalProjections(pqz, -1,
+                                            [&](const Interpretation& m) {
+                                              proj.push_back(m);
+                                              return true;
+                                            });
+    ASSERT_EQ(all, proj) << db.ToString();
+    ASSERT_EQ(all_engine.stats().sat_calls, proj_engine.stats().sat_calls)
+        << db.ToString();
+    ASSERT_EQ(ModelSet(all), ModelSet(brute::PqzMinimalModels(db, pqz)))
+        << db.ToString();
+  }
+}
+
 TEST(MinimalEngine, IsMinimalAgreesWithBruteForceUnderPqz) {
   Rng rng(999);
   for (int iter = 0; iter < 80; ++iter) {

@@ -307,5 +307,51 @@ TEST(ViewSharing, NoStateLeaksBetweenSemanticsOnOneReasoner) {
   EXPECT_GT(checked, 500);
 }
 
+TEST(ViewSharing, IcwaAfterGcwaAndEgcwaAddsNoOracleCall) {
+  // A positive database has one stratum, so ICWA is MM(DB) and asks the
+  // view engine's memoized MinimalEntails: once GCWA has asked ¬x and
+  // EGCWA the formula, ICWA's literal, formula and counterexample queries
+  // add no SAT call. Generic dispatch pins every query to the full view.
+  SemanticsOptions opts;
+  opts.analysis_dispatch = false;
+  Rng rng(18018);
+  for (int draw = 0; draw < 20; ++draw) {
+    const Database db = Draw(Family::kPositive, &rng);
+    const int n = db.num_vars();
+    const std::string lit =
+        "not " + db.vocabulary().Name(static_cast<Var>(
+                     rng.Below(static_cast<uint64_t>(n))));
+    Database scratch = db;
+    const Formula f = testing::RandomFormula(&rng, n, 2);
+    const std::string formula = f->ToString(db.vocabulary());
+    const std::optional<testing::BruteReference> ref =
+        Reference(SemanticsKind::kIcwa, db, nullptr);
+    ASSERT_TRUE(ref.has_value());
+    const std::string label = "'" + lit + "', '" + formula + "'\n" +
+                              db.ToString();
+
+    Reasoner r(db, opts);
+    ASSERT_TRUE(r.InfersLiteral(SemanticsKind::kGcwa, lit).ok()) << label;
+    ASSERT_TRUE(r.InfersFormula(SemanticsKind::kEgcwa, formula).ok())
+        << label;
+    const int64_t before = r.TotalStats().sat_calls;
+    const Result<bool> icwa_lit = r.InfersLiteral(SemanticsKind::kIcwa, lit);
+    const Result<bool> icwa_formula =
+        r.InfersFormula(SemanticsKind::kIcwa, formula);
+    const auto icwa_ce = r.FindCounterexample(SemanticsKind::kIcwa, formula);
+    EXPECT_EQ(r.TotalStats().sat_calls, before) << label;
+
+    ASSERT_TRUE(icwa_lit.ok() && icwa_formula.ok() && icwa_ce.ok()) << label;
+    Result<Lit> l = ParseLiteral(lit, &scratch.vocabulary());
+    ASSERT_TRUE(l.ok());
+    EXPECT_EQ(*icwa_lit, ref->Infers(FormulaNode::MakeLit(*l))) << label;
+    EXPECT_EQ(*icwa_formula, ref->Infers(f)) << label;
+    Outcome got;
+    got.verdict = icwa_ce->has_value();
+    got.witness = *icwa_ce;
+    CheckAgainstBrute(*ref, {Query::kCounterexample, formula}, f, got, label);
+  }
+}
+
 }  // namespace
 }  // namespace dd
